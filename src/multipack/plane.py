@@ -241,18 +241,27 @@ def _clique_cover_bound(adjm: list[int], rem: int) -> int:
 
 
 class _Search:
-    def __init__(self, adjm: list[int], max_nodes: int | None):
+    """Branch and bound over the vertex masks of one graph.
+
+    Both methods branch on a vertex of maximum remaining degree (ties toward
+    the smaller index), prune with the greedy clique-cover bound, and first
+    take every vertex with at most one remaining neighbor.  `nodes` counts
+    search calls on top of the count passed in, so one `max_nodes` budget
+    can span several searches; going past it raises BudgetExceededError.
+    """
+
+    def __init__(self, adjm: list[int], max_nodes: int | None, nodes: int = 0):
         self.adjm = adjm
         self.closed = [m | (1 << v) for v, m in enumerate(adjm)]
         self.max_nodes = max_nodes
-        self.nodes = 0
+        self.nodes = nodes
 
     def _tick(self) -> None:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExceededError(f"search exceeded {self.max_nodes} nodes")
 
-    def _reduce(self, rem: int, gained: int) -> tuple[int, int]:
+    def _reduce(self, rem: int, taken: int) -> tuple[int, int]:
         """Repeatedly take vertices of remaining degree <= 1 (optimal-safe)."""
         adjm = self.adjm
         while True:
@@ -261,114 +270,168 @@ class _Search:
                 if not (rem >> v) & 1:
                     continue  # removed earlier in this same pass
                 live = adjm[v] & rem
-                if live == 0:
-                    rem &= ~(1 << v)
-                    gained += 1
-                    changed = True
-                elif live & (live - 1) == 0:  # exactly one neighbor left
-                    rem &= ~(self.closed[v])
-                    gained += 1
+                if live & (live - 1) == 0:  # no neighbor or exactly one left
+                    rem &= ~self.closed[v]
+                    taken |= 1 << v
                     changed = True
             if not changed:
-                return rem, gained
+                return rem, taken
 
-    def max_size(self, rem: int) -> int:
+    def _branch_vertex(self, rem: int) -> int:
+        adjm = self.adjm
+        return max(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
+
+    def max_set(self, rem: int) -> int:
+        """A maximum independent set inside `rem`, as a mask.
+
+        A minimum-degree greedy set (ties toward the smaller index) is the
+        first lower bound, so the clique-cover bound prunes from the start.
+        """
+        adjm, closed = self.adjm, self.closed
         best = 0
+        left = rem
+        while left:
+            v = min(_iter_bits(left), key=lambda u: ((adjm[u] & left).bit_count(), u))
+            best |= 1 << v
+            left &= ~closed[v]
+        best_size = best.bit_count()
 
         def rec(rem: int, cur: int) -> None:
-            nonlocal best
+            nonlocal best, best_size
             self._tick()
             rem, cur = self._reduce(rem, cur)
+            size = cur.bit_count()
             if rem == 0:
-                if cur > best:
-                    best = cur
+                if size > best_size:
+                    best, best_size = cur, size
                 return
-            if cur + _clique_cover_bound(self.adjm, rem) <= best:
+            if size + _clique_cover_bound(adjm, rem) <= best_size:
                 return
-            v = max(_iter_bits(rem), key=lambda u: ((self.adjm[u] & rem).bit_count(), -u))
-            rec(rem & ~self.closed[v], cur + 1)
+            v = self._branch_vertex(rem)
+            rec(rem & ~closed[v], cur | (1 << v))
             rec(rem & ~(1 << v), cur)
 
         rec(rem, 0)
         return best
 
-    def exists(self, rem: int, k: int) -> bool:
+    def find(self, rem: int, k: int) -> int | None:
+        """An independent set of size >= k inside `rem` as a mask, or None."""
         self._tick()
         if k <= 0:
-            return True
-        rem, gained = self._reduce(rem, 0)
-        k -= gained
+            return 0
+        rem, taken = self._reduce(rem, 0)
+        k -= taken.bit_count()
         if k <= 0:
-            return True
-        if rem == 0:
-            return False
-        if _clique_cover_bound(self.adjm, rem) < k:
-            return False
-        v = max(_iter_bits(rem), key=lambda u: ((self.adjm[u] & rem).bit_count(), -u))
-        return self.exists(rem & ~self.closed[v], k - 1) or self.exists(rem & ~(1 << v), k)
+            return taken
+        if rem == 0 or _clique_cover_bound(self.adjm, rem) < k:
+            return None
+        v = self._branch_vertex(rem)
+        found = self.find(rem & ~self.closed[v], k - 1)
+        if found is not None:
+            return taken | (1 << v) | found
+        found = self.find(rem & ~(1 << v), k)
+        return None if found is None else taken | found
 
 
-def _component_masks(adjm: list[int], full: int) -> list[int]:
+def _components(adj: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """Connected components as ascending vertex lists, by smallest vertex."""
+    seen = bytearray(len(adj))
     comps = []
-    left = full
-    while left:
-        seed = left & -left
-        comp = seed
-        frontier = seed
-        while frontier:
-            grown = 0
-            for v in _iter_bits(frontier):
-                grown |= adjm[v]
-            frontier = grown & left & ~comp
-            comp |= frontier
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        comp = [root]
+        for v in comp:  # the list grows while it is scanned
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    comp.append(u)
+        comp.sort()
         comps.append(comp)
-        left &= ~comp
     return comps
+
+
+def _first_max_set(search: _Search) -> int:
+    """Lexicographically smallest maximum independent set of the whole graph.
+
+    Visits vertices in ascending order and takes each one that still leaves
+    room for an optimum.  `known` is an optimum that agrees with every
+    decision so far: a vertex in it is taken without a search, and a
+    successful search for any other vertex becomes the new `known`.
+    """
+    closed = search.closed
+    rem = (1 << len(closed)) - 1
+    known = search.max_set(rem)
+    need = known.bit_count()
+    chosen = 0
+    for i in range(len(closed)):
+        if need == 0:
+            break
+        bit = 1 << i
+        if not rem & bit:
+            continue
+        if not known & bit:
+            found = search.find(rem & ~closed[i], need - 1)
+            if found is None:
+                rem &= ~bit
+                continue
+            known = found | bit
+        chosen |= bit
+        rem &= ~closed[i]
+        need -= 1
+    return chosen
+
+
+def _exact_max_is(graph: ConflictGraph, max_nodes: int | None) -> tuple[tuple[int, ...], dict]:
+    """`exact_max_is` plus its stats: nodes, components, largest component."""
+    adj = graph.adj
+    comps = _components(adj)
+    nodes = 0
+    witness: list[int] = []
+    for verts in comps:
+        local = {v: j for j, v in enumerate(verts)}
+        adjm = []
+        for v in verts:
+            m = 0
+            for u in adj[v]:
+                m |= 1 << local[u]
+            adjm.append(m)
+        search = _Search(adjm, max_nodes, nodes)
+        witness.extend(verts[j] for j in _iter_bits(_first_max_set(search)))
+        nodes = search.nodes
+    stats = {"nodes": nodes, "components": len(comps), "largest_component": max(map(len, comps))}
+    return tuple(sorted(witness)), stats
 
 
 def exact_max_is(graph: ConflictGraph, max_nodes: int | None = None) -> tuple[tuple[int, ...], int]:
     """Maximum independent set with a deterministic witness.
 
-    Branch and bound per component (max-degree branching, greedy clique-cover
-    pruning, degree <= 1 reductions) fixes the optimum size; a second pass
-    then forces the lexicographically smallest witness index by index.
-    Returns (witness, explored nodes); raises BudgetExceededError past
-    max_nodes.
+    Each connected component is solved on its own masks, re-indexed to local
+    bits in ascending vertex order: branch and bound (max-degree branching,
+    greedy clique-cover pruning, degree <= 1 reductions) finds an optimum,
+    then a witness pass forces the lexicographically smallest optimum of the
+    component index by index.  The union over components is the
+    lexicographically smallest maximum independent set of the whole graph,
+    since every forced choice constrains only its own component.
+    Returns (witness, explored nodes), the nodes summed over every component
+    and both passes; max_nodes caps that total and raises
+    BudgetExceededError past it.
     """
-    n = graph.n
-    adjm = _adjacency_masks(graph)
-    search = _Search(adjm, max_nodes)
-    full = (1 << n) - 1
-    opt = sum(search.max_size(comp) for comp in _component_masks(adjm, full))
-    forced: list[int] = []
-    rem = full
-    need = opt
-    for i in range(n):
-        if need == 0:
-            break
-        if not (rem >> i) & 1:
-            continue
-        if search.exists(rem & ~search.closed[i], need - 1):
-            forced.append(i)
-            rem &= ~search.closed[i]
-            need -= 1
-        else:
-            rem &= ~(1 << i)
-    if need != 0:
-        raise AssertionError("witness reconstruction lost the optimum")
-    return tuple(forced), search.nodes
+    witness, stats = _exact_max_is(graph, max_nodes)
+    return witness, stats["nodes"]
 
 
 def max_2_multipacking_exact(pts: PointSet, max_nodes: int | None = None) -> SolveReport:
     """Exact maximum 2-multipacking via independence in the conflict graph."""
     graph = build_conflict_graph(pts)
-    witness, nodes = exact_max_is(graph, max_nodes=max_nodes)
+    witness, stats = _exact_max_is(graph, max_nodes)
     return SolveReport(
         size=len(witness),
         indices=witness,
         r=2,
         method="exact",
-        stats={"nodes": nodes, "max_degree": graph.max_degree()},
+        stats={**stats, "max_degree": graph.max_degree()},
     )
 
 

@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from helpers import naive_max_independent_sets, pts2d
 from multipack import (
+    BudgetExceededError,
     ConflictGraph,
     NotAForestError,
     bruteforce_max_r_multipacking,
@@ -137,11 +141,78 @@ def test_exact_is_matches_naive_enumeration():
         best_size, best_sets = naive_max_independent_sets(n, graph.edges())
         assert len(witness) == best_size
         assert witness == min(best_sets)
+    # 2-4 connected components whose vertex labels interleave
+    for seed in range(40):
+        graph = _interleaved_components(seed)
+        witness, _ = exact_max_is(graph)
+        best_size, best_sets = naive_max_independent_sets(graph.n, graph.edges())
+        assert len(witness) == best_size
+        assert witness == min(best_sets)
+
+
+def _interleaved_components(seed: int) -> ConflictGraph:
+    """A spanning path plus random chords on each of 2-4 shuffled label blocks."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, 5) for _ in range(2 + seed % 3)]
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    edges = []
+    for size in sizes:
+        block, labels = labels[:size], labels[size:]
+        edges += [(block[a], block[a + 1]) for a in range(size - 1)]
+        edges += [(block[a], block[b]) for a in range(size) for b in range(a + 2, size)
+                  if rng.random() < 0.4]
+    return ConflictGraph.from_edges(sum(sizes), edges)
+
+
+def _count_components(graph: ConflictGraph) -> tuple[int, int]:
+    parent = list(range(graph.n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in graph.edges():
+        parent[root(a)] = root(b)
+    sizes: dict[int, int] = {}
+    for v in range(graph.n):
+        sizes[root(v)] = sizes.get(root(v), 0) + 1
+    return len(sizes), max(sizes.values())
+
+
+def test_exact_witnesses_are_pinned():
+    # the criterion 08 instances; any change to the lexicographic witness
+    # (component order, local re-indexing, tie-breaks) changes this digest
+    witnesses = [max_2_multipacking_exact(random_point_set(10 + i % 51, dim=2, seed=60_000 + i)).indices
+                 for i in range(200)]
+    digest = hashlib.sha1(repr(witnesses).encode()).hexdigest()
+    assert digest == "0e1db137083d94b448b78e8bb177039d49be7215"
+
+
+def test_exact_budget_is_one_total():
+    # the budget covers every component and both the size and witness passes
+    pts = random_point_set(40, dim=2, seed=7)
+    assert max_2_multipacking_exact(pts).stats["components"] >= 2
+    graph = build_conflict_graph(pts)
+    witness, nodes = exact_max_is(graph)
+    assert exact_max_is(graph, max_nodes=nodes) == (witness, nodes)
+    with pytest.raises(BudgetExceededError):
+        exact_max_is(graph, max_nodes=nodes - 1)
+
+
+def test_exact_report_stats():
+    for seed in range(10):
+        pts = random_point_set(30 + 5 * seed, dim=2, seed=seed)
+        report = max_2_multipacking_exact(pts)
+        graph = build_conflict_graph(pts)
+        assert set(report.stats) == {"nodes", "components", "largest_component", "max_degree"}
+        assert report.stats["nodes"] == exact_max_is(graph)[1]
+        assert (report.stats["components"], report.stats["largest_component"]) == _count_components(graph)
+        assert report.stats["max_degree"] == graph.max_degree()
 
 
 def test_exact_budget_raises():
-    from multipack import BudgetExceededError
-
     graph = build_conflict_graph(random_point_set(30, dim=2, seed=1))
     with pytest.raises(BudgetExceededError):
         exact_max_is(graph, max_nodes=2)
@@ -205,8 +276,6 @@ def test_fpt_rejects_bad_k():
 
 
 def test_fpt_budget_raises():
-    from multipack import BudgetExceededError
-
     graph = build_conflict_graph(random_point_set(35, dim=2, seed=3))
     with pytest.raises(BudgetExceededError):
         fpt_find_in_graph(graph, 5, max_nodes=2)
