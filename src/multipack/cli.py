@@ -19,12 +19,14 @@ import time
 
 from .geometry import (
     GeneralPositionError,
+    NeighborTable,
     ParseError,
-    build_neighbor_table,
     load_points,
+    nearest_profile,
     save_points_csv,
 )
 from .instances import (
+    _scan_seed,
     pentagon_five,
     random_point_set,
     scan_six_point_sets,
@@ -33,6 +35,7 @@ from .instances import (
 from .line import greedy_max_r_multipacking_1d, lower_family_1d, upper_family_1d
 from .multipacking import (
     BudgetExceededError,
+    SolveReport,
     bruteforce_max_r_multipacking,
     is_r_multipacking,
     load_witness,
@@ -146,24 +149,15 @@ def cmd_solve(args) -> int:
             raise CliError(EXIT_METHOD, "method", "fpt needs --k >= 1")
         graph = build_conflict_graph(pts)
         witness, nodes = fpt_find_in_graph(graph, args.k, max_nodes=args.budget)
-        stats = {"nodes": nodes, "node_budget": 18**args.k}
+        payload = SolveReport(
+            size=0 if witness is None else args.k,
+            indices=tuple(witness or ()),
+            r=2,
+            method="fpt",
+            stats={"nodes": nodes, "node_budget": 18**args.k},
+        ).to_json_dict()
         if witness is None:
-            payload = {
-                "found": False,
-                "size": 0,
-                "indices": [],
-                "r": 2,
-                "method": "fpt",
-                "stats": stats,
-            }
-        else:
-            payload = {
-                "size": args.k,
-                "indices": list(witness),
-                "r": 2,
-                "method": "fpt",
-                "stats": stats,
-            }
+            payload = {"found": False, **payload}
     else:  # bruteforce fallback for radii no dedicated solver covers
         payload = bruteforce_max_r_multipacking(pts, r, limit_n=args.limit_n).to_json_dict()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -188,7 +182,7 @@ def cmd_check(args) -> int:
     for i in members:
         if not 0 <= i < pts.n:
             raise CliError(EXIT_PARSE, "input", f"witness index {i} out of range for n={pts.n}")
-    table = build_neighbor_table(pts)
+    table = NeighborTable(order=tuple(nearest_profile(pts, r)))
     ok, violation = is_r_multipacking(pts, table, members, r)
     if ok:
         _emit({"valid": True, "r": r, "size": len(members)}, None)
@@ -212,7 +206,10 @@ def cmd_gen(args) -> int:
     elif family == "square4":
         pts = square_four()
     else:
-        pts = random_point_set(args.n, dim=args.dim, seed=args.seed, grid=args.grid)
+        try:
+            pts = random_point_set(args.n, dim=args.dim, seed=args.seed, grid=args.grid)
+        except RuntimeError as exc:  # retry budget spent without a general-position draw
+            raise CliError(EXIT_PARSE, "input", str(exc))
     save_points_csv(pts, args.out)
     _note(f"gen: wrote {pts.n} points (dim {pts.dim}) to {args.out}")
     return EXIT_OK
@@ -236,10 +233,6 @@ _BENCH_HEADER = [
 ]
 
 
-def _bench_seed(seed: int, trial: int) -> int:
-    return seed * 1_000_003 + trial
-
-
 def cmd_bench(args) -> int:
     family = args.family
     threads = _resolve_threads(args)
@@ -261,7 +254,7 @@ def cmd_bench(args) -> int:
         mismatches = 0
         for t in range(trials):
             n = n_min + t % (n_max - n_min + 1)
-            seed_t = _bench_seed(args.seed, t)
+            seed_t = _scan_seed(args.seed, t)
             pts = random_point_set(n, dim=1, seed=seed_t)
             r = n - 1
             started = time.perf_counter()
@@ -285,7 +278,7 @@ def cmd_bench(args) -> int:
             raise CliError(EXIT_PARSE, "input", "need 3 <= n-min <= n-max")
         for t in range(trials):
             n = n_min + t % (n_max - n_min + 1)
-            seed_t = _bench_seed(args.seed, t)
+            seed_t = _scan_seed(args.seed, t)
             pts = random_point_set(n, dim=2, seed=seed_t)
             started = time.perf_counter()
             exact = max_2_multipacking_exact(pts, max_nodes=args.budget)
@@ -312,7 +305,7 @@ def cmd_bench(args) -> int:
         per_ms = total_ms / trials
         for t, size in enumerate(scan["sizes"]):
             rows.append([
-                t, family, 6, _bench_seed(args.seed, t), "bruteforce", 5,
+                t, family, 6, _scan_seed(args.seed, t), "bruteforce", 5,
                 size, size, "1.000000", 1 << 6, wall(per_ms),
             ])
         summary = (

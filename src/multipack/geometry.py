@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -22,10 +25,6 @@ import numpy as np
 Coord = Union[int, Fraction]
 Point = tuple  # tuple[Coord, ...], dimension 1 or 2
 
-# numpy fast paths kick in above this size; below it plain loops are cheaper
-_NUMPY_MIN_N = 64
-# int64 squared distances stay exact while the coordinate span is below this
-_INT64_SPAN_LIMIT = 2**31 - 1
 # tree-accelerated path: float64 squared distances on a span this small are
 # off by at most ~32, so exact re-ranking with a wide margin stays rigorous
 _TREE_MIN_N = 512
@@ -131,11 +130,11 @@ class PointSet:
 
 @dataclass(frozen=True)
 class NeighborTable:
-    """Per-point neighbor permutation, ascending by exact squared distance.
+    """Per-point nearest neighbors, ascending by exact squared distance.
 
-    order[v] lists the indices of all other points; order[v][s-1] is the s-th
-    nearest neighbor of v, so the closed s-neighborhood of v is v plus the
-    first s entries of order[v].
+    order[v] holds v's nearest neighbors up to the table's width (n-1 for a
+    full table); order[v][s-1] is the s-th nearest neighbor of v, so for
+    s <= width the closed s-neighborhood of v is v plus the first s entries.
     """
 
     order: tuple[tuple[int, ...], ...]
@@ -143,6 +142,11 @@ class NeighborTable:
     @property
     def n(self) -> int:
         return len(self.order)
+
+    @property
+    def width(self) -> int:
+        """Neighbors listed per point: n-1 for a full table."""
+        return len(self.order[0]) if self.order else 0
 
     def rank(self, v: int, u: int) -> int:
         """1-based position of u in v's ordering; 0 when u == v."""
@@ -152,46 +156,27 @@ class NeighborTable:
 
 
 def build_neighbor_table(pts: PointSet) -> NeighborTable:
-    """Sort every point's neighbors by squared distance; raise on any tie."""
-    n = pts.n
-    order = []
-    for v in range(n):
-        pv = pts[v]
-        pairs = sorted(
-            ((squared_distance(pv, pts[u]), u) for u in range(n) if u != v),
-            key=lambda t: t[0],
-        )
-        for (d1, a), (d2, b) in zip(pairs, pairs[1:]):
-            if d1 == d2:
-                raise GeneralPositionError((v, min(a, b), max(a, b)))
-        order.append(tuple(u for _, u in pairs))
-    return NeighborTable(order=tuple(order))
+    """Full table: every point's n-1 neighbors; raise on any tie."""
+    if pts.n == 1:
+        return NeighborTable(order=((),))
+    return NeighborTable(order=tuple(nearest_profile(pts, pts.n - 1)))
 
 
 def assert_general_position(pts: PointSet) -> list[tuple[int, int, int]]:
     """Return all triples (v, a, b) with a and b equidistant from v.
 
-    Empty list means every point's neighbor ordering is unambiguous.  Runs a
-    full per-point sort, so it is meant for moderate n.
+    Empty list means every point's full neighbor ordering is unambiguous.
+    Ranks all n-1 neighbors of every point, so it is meant for moderate n.
     """
     violations = []
-    for v in range(pts.n):
-        pv = pts[v]
-        pairs = sorted(
-            ((squared_distance(pv, pts[u]), u) for u in range(pts.n) if u != v),
-            key=lambda t: t[0],
-        )
-        i = 0
-        while i < len(pairs):
-            j = i
-            while j + 1 < len(pairs) and pairs[j + 1][0] == pairs[i][0]:
-                j += 1
-            if j > i:
-                tied = sorted(u for _, u in pairs[i : j + 1])
-                for x in range(len(tied)):
-                    for y in range(x + 1, len(tied)):
-                        violations.append((v, tied[x], tied[y]))
-            i = j + 1
+    if pts.n < 3:
+        return violations
+    for first, dist, idx in _ranked_rows(pts, pts.n - 1):
+        for row in np.flatnonzero((dist[:, 1:-1] == dist[:, 2:]).any(axis=1)).tolist():
+            ranked = zip(dist[row, 1:].tolist(), idx[row, 1:].tolist())
+            for _, group in groupby(ranked, key=itemgetter(0)):
+                tied = [u for _, u in group]
+                violations.extend((first + row, a, b) for a, b in combinations(tied, 2))
     return violations
 
 
@@ -209,142 +194,101 @@ def assert_global_distinct_distances(pts: PointSet) -> list[tuple[tuple[int, int
     return out
 
 
-def _nearest_profile_exact(pts: PointSet, k: int) -> list[tuple[int, ...]]:
-    n = pts.n
-    keep = min(k + 1, n - 1)
-    result = []
-    for v in range(n):
-        pv = pts[v]
-        pairs = sorted(
-            ((squared_distance(pv, pts[u]), u) for u in range(n) if u != v),
-            key=lambda t: t[0],
-        )[:keep]
-        for (d1, a), (d2, b) in zip(pairs, pairs[1:]):
-            if d1 == d2:
-                raise GeneralPositionError((v, min(a, b), max(a, b)))
-        result.append(tuple(u for _, u in pairs[: min(k, n - 1)]))
-    return result
+def _integer_coords(pts: PointSet) -> tuple[np.ndarray, int]:
+    """Coordinates scaled by the LCM of their denominators and shifted to 0.
+
+    Both maps multiply every squared distance by one positive constant, so
+    neighbor orderings and ties are unchanged.  Returns the array and its
+    span; the array is int64 when every squared distance fits, else Python
+    ints (dtype object), which run the same numpy code exactly.
+    """
+    scale = math.lcm(*{c.denominator for p in pts for c in p})
+    coords = [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
+    lo = min(min(p) for p in coords)
+    span = max(max(p) for p in coords) - lo
+    dtype = np.int64 if 2 * span * span < 2**62 else object
+    return np.array([[c - lo for c in p] for p in coords], dtype=dtype), span
 
 
-def _nearest_profile_int64(pts: PointSet, k: int) -> list[tuple[int, ...]]:
-    """Chunked exact int64 computation of each point's k nearest neighbors.
+def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort each row's candidates (ascending index order) by exact squared distance."""
+    diff = arr[cand] - arr[rows, None, :]
+    diff *= diff
+    dist = diff.sum(axis=2)
+    del diff
+    order = np.argsort(dist, axis=1, kind="stable")  # stable: ties stay in index order
+    return np.take_along_axis(dist, order, axis=1), np.take_along_axis(cand, order, axis=1)
 
-    Validates that the first min(k+1, n-1) distances from every point are
-    strictly increasing, which is exactly what makes those k neighbor
-    identities unambiguous.
+
+def _ranked_rows(pts: PointSet, keep: int):
+    """Yield (first, dist, idx) blocks of exactly ranked neighbor rows.
+
+    Row i of a block belongs to point first + i; its columns are candidates
+    in ascending squared distance, ties broken by index.  Column 0 is the
+    point itself (distance 0) and columns 1..keep are its keep nearest
+    neighbors.  Candidates are all points, or, for large inputs of moderate
+    span, the k-d tree's nominees when a float guard proves they contain
+    every point that can rank within the first keep.
     """
     n = pts.n
-    keep = min(k + 1, n - 1)
-    arr = np.array(pts.points, dtype=np.int64)
-    arr = arr - arr.min(axis=0, keepdims=True)  # shrink magnitudes; distances unchanged
-    sentinel = np.iinfo(np.int64).max
-    chunk = max(1, min(n, (1 << 22) // n))
-    result: list[tuple[int, ...]] = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = arr[start:stop, None, :] - arr[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = sentinel
-        idx = np.argpartition(d2, keep - 1, axis=1)[:, :keep]
-        vals = np.take_along_axis(d2, idx, axis=1)
-        sub = np.argsort(vals, axis=1, kind="stable")
-        vals = np.take_along_axis(vals, sub, axis=1)
-        idx = np.take_along_axis(idx, sub, axis=1)
-        ties = np.nonzero(vals[:, :-1] == vals[:, 1:])
-        if ties[0].size:
-            row = int(ties[0][0])
-            col = int(ties[1][0])
-            a = int(idx[row, col])
-            b = int(idx[row, col + 1])
-            raise GeneralPositionError((start + row, min(a, b), max(a, b)))
-        width = min(k, n - 1)
-        for row in range(stop - start):
-            result.append(tuple(int(u) for u in idx[row, :width]))
-    return result
+    arr, span = _integer_coords(pts)
+    everyone = np.arange(n)
+    query_k = keep + 6  # self, the kept prefix, and slack for the guard
+    nominees = None
+    if n >= _TREE_MIN_N and span <= _TREE_SPAN_LIMIT and query_k < n:
+        from scipy.spatial import cKDTree  # imported here: only large inputs need it
 
-
-def _exact_row(arr: np.ndarray, v: int, keep: int) -> list[tuple[int, int]]:
-    """Exact sorted (distance, index) prefix for one point of an int array."""
-    diff = arr - arr[v]
-    d2 = (diff * diff).sum(axis=1)
-    pairs = sorted((int(d2[u]), u) for u in range(len(arr)) if u != v)
-    return pairs[: keep + 1]
-
-
-def _nearest_profile_tree(pts: PointSet, k: int) -> list[tuple[int, ...]] | None:
-    """Tree-accelerated exact k-nearest profile, or None when unavailable.
-
-    The tree runs in float64 and only nominates candidates; ranks come from
-    exact int64 re-computation.  A candidate window is trusted only when the
-    farthest nominee sits a full error margin beyond the last kept rank,
-    otherwise that point falls back to an exact full scan.
-    """
-    try:
-        from scipy.spatial import cKDTree
-    except ImportError:
-        return None
-    n = pts.n
-    keep = min(k + 1, n - 1)
-    arr = np.array(pts.points, dtype=np.int64)
-    arr = arr - arr.min(axis=0, keepdims=True)
-    query_k = min(n, keep + 6)  # self plus keep plus slack for the guard
-    tree = cKDTree(arr.astype(np.float64))
-    _, idx = tree.query(arr.astype(np.float64), k=query_k)
-    gathered = arr[idx]  # (n, query_k, dim)
-    diff = gathered - arr[:, None, :]
-    d2 = (diff * diff).sum(axis=2)  # exact: spans are capped well inside int64
-    sub = np.argsort(d2, axis=1, kind="stable")
-    d2 = np.take_along_axis(d2, sub, axis=1)
-    idx = np.take_along_axis(idx, sub, axis=1)
-    # column 0 is the point itself at distance 0
-    result: list[tuple[int, ...]] = []
-    width = min(k, n - 1)
-    for v in range(n):
-        vals = d2[v]
-        row = idx[v]
-        guarded = query_k == n or vals[query_k - 1] > vals[keep] + _TREE_MARGIN
-        if not guarded or row[0] != v or (query_k > 1 and vals[1] == 0):
-            pairs = _exact_row(arr, v, keep)
-            vals = np.array([0] + [d for d, _ in pairs], dtype=np.int64)
-            row = np.array([v] + [u for _, u in pairs], dtype=np.int64)
-        for s in range(1, keep):
-            if vals[s] == vals[s + 1]:
-                a, b = int(row[s]), int(row[s + 1])
-                raise GeneralPositionError((v, min(a, b), max(a, b)))
-        result.append(tuple(int(u) for u in row[1 : width + 1]))
-    return result
+        flt = arr.astype(np.float64)
+        nominees = np.sort(cKDTree(flt).query(flt, k=query_k)[1], axis=1)
+    # rows per block: ~2^20 int64 entries, or ~2^12 Python ints (each ~100 bytes)
+    budget = 1 << 20 if arr.dtype == np.int64 else 1 << 12
+    chunk = max(1, budget // (n if nominees is None else query_k))
+    for first in range(0, n, chunk):
+        rows = everyone[first : first + chunk]
+        if nominees is None:
+            yield first, *_exact_sort(arr, rows, np.broadcast_to(everyone, (len(rows), n)))
+            continue
+        dist, idx = _exact_sort(arr, rows, nominees[rows])
+        # float64 distances on this span are off by at most ~32: a farthest
+        # nominee a full margin past rank keep proves no other point ranks
+        # within it; rows without that proof are re-ranked over all points
+        bad = dist[:, -1] <= dist[:, keep] + _TREE_MARGIN
+        if bad.any():
+            full = _exact_sort(arr, rows[bad], np.broadcast_to(everyone, (int(bad.sum()), n)))
+            dist[bad], idx[bad] = (block[:, :query_k] for block in full)
+        yield first, dist, idx
 
 
 def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     """Indices of each point's k nearest neighbors (ascending distance).
 
     Ties anywhere in the first min(k+1, n-1) distances raise
-    GeneralPositionError, so the returned identities never depend on
-    arbitrary ordering.  Integer coordinates of moderate span use exact
-    vectorized paths; everything else falls back to exact rational loops.
+    GeneralPositionError for the smallest such point and the two smallest
+    indices of its first tie, so the returned identities never depend on
+    arbitrary ordering.  Every input is ranked on exact integers.
     """
     if pts.n < 2:
         raise ValueError("need at least 2 points")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if pts.n >= _NUMPY_MIN_N and pts.all_integer():
-        lo = min(c for p in pts.points for c in p)
-        hi = max(c for p in pts.points for c in p)
-        span = hi - lo
-        if pts.n >= _TREE_MIN_N and span <= _TREE_SPAN_LIMIT:
-            profile = _nearest_profile_tree(pts, k)
-            if profile is not None:
-                return profile
-        if span <= _INT64_SPAN_LIMIT:
-            return _nearest_profile_int64(pts, k)
-    return _nearest_profile_exact(pts, k)
+    keep = min(k + 1, pts.n - 1)
+    width = min(k, pts.n - 1)
+    profile: list[tuple[int, ...]] = []
+    for first, dist, idx in _ranked_rows(pts, keep):
+        prefix = dist[:, 1 : keep + 1]
+        rows, cols = np.nonzero(prefix[:, :-1] == prefix[:, 1:])
+        if rows.size:
+            row, col = rows[0], cols[0]
+            raise GeneralPositionError((first + int(row), int(idx[row, col + 1]), int(idx[row, col + 2])))
+        profile.extend(map(tuple, idx[:, 1 : width + 1].tolist()))
+    return profile
 
 
 def two_nearest(pts: PointSet) -> list[tuple[int, int]]:
     """First and second neighbor of every point; requires n >= 3."""
     if pts.n < 3:
         raise ValueError("need at least 3 points for two neighbors")
-    return [(p[0], p[1]) for p in nearest_profile(pts, 2)]
+    return nearest_profile(pts, 2)
 
 
 def perturb(pts: PointSet, epsilon: Coord, seed: int, max_retries: int = 32) -> PointSet:

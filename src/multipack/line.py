@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import PointSet, build_neighbor_table
+from .geometry import NeighborTable, PointSet, nearest_profile
 from .multipacking import SolveReport, is_r_multipacking
 
 
@@ -26,7 +26,7 @@ def greedy_max_r_multipacking_1d(pts: PointSet, r: int) -> SolveReport:
     n = pts.n
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in 1..{n - 1}, got {r}")
-    table = build_neighbor_table(pts)
+    table = NeighborTable(order=tuple(nearest_profile(pts, r)))
     sweep = sorted(range(n), key=lambda i: pts[i][0])
     members: set[int] = set()
     checks = 0

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import NeighborTable, PointSet, build_neighbor_table
+from .geometry import NeighborTable, PointSet, build_neighbor_table, nearest_profile
 
 
 class BudgetExceededError(RuntimeError):
@@ -75,13 +75,16 @@ def is_r_multipacking(
     """Check the neighborhood bounds for every point and radius s <= r.
 
     Returns (True, None) on success, else (False, first violation) where the
-    scan order is ascending point index, then ascending s.
+    scan order is ascending point index, then ascending s.  The table needs
+    width >= r.
     """
     n = pts.n
     if table.n != n:
         raise ValueError("table does not match point set")
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in 1..{n - 1}, got {r}")
+    if table.width < r:
+        raise ValueError(f"table width {table.width} is below r={r}")
     flags = _member_flags(n, members)
     for v in range(n):
         count = flags[v]
@@ -120,8 +123,9 @@ def _bit_reverse_table(n_bits: int) -> np.ndarray:
 def _violation_radius_scan(table: NeighborTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For every subset mask, the smallest s whose bound it breaks (n if none).
 
-    Returns (first_bad_s, popcount, bit_reversal) arrays indexed by mask.
-    Writing larger s first and overwriting with smaller s leaves the minimum.
+    Only s up to the table's width is scanned.  Returns (first_bad_s,
+    popcount, bit_reversal) arrays indexed by mask.  Writing larger s first
+    and overwriting with smaller s leaves the minimum.
     """
     n = table.n
     size = 1 << n
@@ -136,7 +140,7 @@ def _violation_radius_scan(table: NeighborTable) -> tuple[np.ndarray, np.ndarray
             row.append(row[-1] | (1 << u))
         prefix.append(row)
     first_bad = np.full(size, n, dtype=np.int16)
-    for s in range(n - 1, 0, -1):
+    for s in range(table.width, 0, -1):
         bound = (s + 1) >> 1
         for v in range(n):
             counts = pop[masks & np.uint32(prefix[v][s])]
@@ -202,7 +206,7 @@ def bruteforce_max_r_multipacking(pts: PointSet, r: int, limit_n: int = 16) -> S
         return SolveReport(size=1, indices=(0,), r=r, method="bruteforce", stats={"subsets": 2})
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in 1..{n - 1}, got {r}")
-    table = build_neighbor_table(pts)
+    table = NeighborTable(order=tuple(nearest_profile(pts, r)))
     first_bad, pop, rev = _violation_radius_scan(table)
     return _report_for_radius(first_bad, pop, rev, r)
 

@@ -116,7 +116,6 @@ def build_nearest_neighbor_graph(pts: PointSet, table: NeighborTable | None = No
     else:
         nearest = [row[0] for row in nearest_profile(pts, 1)]
     edges = sorted({(min(v, u), max(v, u)) for v, u in enumerate(nearest)})
-    _assert_forest(n, edges)
     return ConflictGraph.from_edges(n, edges, kind="nng")
 
 
@@ -147,11 +146,13 @@ def forest_max_independent_set(graph: ConflictGraph) -> tuple[int, ...]:
 
     Deterministic witness: components are rooted at their smallest index,
     children are visited in ascending order, and ties between keeping and
-    dropping a vertex are broken toward dropping it.
+    dropping a vertex are broken toward dropping it.  "nng" graphs were
+    checked to be forests at construction; any other graph is checked here.
     """
     n = graph.n
     adj = graph.adj
-    _assert_forest(n, graph.edges())
+    if graph.kind != "nng":
+        _assert_forest(n, graph.edges())
     visited = [False] * n
     take: list[int] = []
     for root in range(n):

@@ -2,7 +2,7 @@
 
 import itertools
 
-from multipack import PointSet, build_neighbor_table, is_r_multipacking
+from multipack import PointSet, build_neighbor_table, is_r_multipacking, squared_distance
 
 
 def pts1d(*coords) -> PointSet:
@@ -11,6 +11,38 @@ def pts1d(*coords) -> PointSet:
 
 def pts2d(*coords) -> PointSet:
     return PointSet.of(list(coords))
+
+
+def reference_prefix(pts, k):
+    """Each point's k nearest neighbors by plain sorting, or the tie to raise.
+
+    Returns (rows, None), or (None, (v, a, b)) for the smallest v with two
+    equal distances among its first min(k+1, n-1); a < b are the two
+    smallest indices of its first such tie.
+    """
+    n = pts.n
+    rows = []
+    for v in range(n):
+        ranked = sorted((squared_distance(pts[v], pts[u]), u) for u in range(n) if u != v)
+        ranked = ranked[: min(k + 1, n - 1)]
+        for (d1, a), (d2, b) in zip(ranked, ranked[1:]):
+            if d1 == d2:
+                return None, (v, a, b)
+        rows.append(tuple(u for _, u in ranked[:k]))
+    return rows, None
+
+
+def reference_ties(pts):
+    """Every (v, a, b) with a < b equidistant from v, in (v, distance, a, b) order."""
+    out = []
+    for v in range(pts.n):
+        groups = {}
+        for u in range(pts.n):
+            if u != v:
+                groups.setdefault(squared_distance(pts[v], pts[u]), []).append(u)
+        for _, tied in sorted(groups.items()):
+            out.extend((v, a, b) for a, b in itertools.combinations(tied, 2))
+    return out
 
 
 def assert_valid(pts, indices, r):

@@ -125,6 +125,19 @@ def test_solve_then_check_round_trip(lower6, tmp_path, capsys):
     assert json.loads(out) == {"valid": True, "r": 5, "size": 2}
 
 
+def test_check_accepts_what_solve_accepts(tmp_path, capsys):
+    # point 0 has a tie at ranks 4 and 5, past the 3 distances radius 2 reads
+    points = tmp_path / "far_tie.csv"
+    points.write_text("x,y\n0,0\n1,0\n0,2\n0,3\n10,0\n0,10\n")
+    witness = tmp_path / "witness.json"
+    code, _, _ = run(capsys, "solve", "--input", str(points), "--r", "2", "--out", str(witness))
+    assert code == 0
+    assert json.loads(witness.read_text())["indices"] == [0, 5]
+    code, out, _ = run(capsys, "check", "--input", str(points), "--set", str(witness))
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "r": 2, "size": 2}
+
+
 def test_check_invalid_witness(quad, tmp_path, capsys):
     witness = tmp_path / "pair.json"
     witness.write_text('{"indices": [0, 1], "r": 1}')
@@ -196,6 +209,17 @@ def test_gen_random_deterministic(tmp_path, capsys):
 def test_gen_requires_n_for_sized_families(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--family", "lower1d", "--out", str(tmp_path / "x.csv"))
     assert code == 2
+
+
+def test_gen_random_without_general_position_exits_2(tmp_path, capsys):
+    # on the default 10^6 grid, 400 points on a line always hold an equidistant triple
+    out = tmp_path / "line.csv"
+    code, stdout, err = run(capsys, "gen", "--family", "random", "--dim", "1", "--n", "400",
+                            "--out", str(out))
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    report = json.loads(err)
+    assert report["kind"] == "input" and "no valid draw" in report["error"]
 
 
 def test_audit_degree_pentagon(pentagon, tmp_path, capsys):

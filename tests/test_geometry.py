@@ -1,8 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import pts1d, pts2d
+from helpers import pts1d, pts2d, reference_prefix, reference_ties
 from multipack import (
     GeneralPositionError,
     ParseError,
@@ -19,9 +23,6 @@ from multipack import (
     squared_distance,
 )
 from multipack.geometry import (
-    _nearest_profile_exact,
-    _nearest_profile_int64,
-    _nearest_profile_tree,
     format_coordinate,
     nearest_profile,
     parse_coordinate,
@@ -166,14 +167,63 @@ def test_neighbor_table_deterministic():
     assert build_neighbor_table(pts).order == build_neighbor_table(pts).order
 
 
-def test_nearest_profile_backends_agree():
-    pts = random_point_set(300, dim=2, seed=2, grid=100_000)
-    exact = _nearest_profile_exact(pts, 2)
-    fast = _nearest_profile_int64(pts, 2)
-    tree = _nearest_profile_tree(pts, 2)
-    assert fast == exact
-    assert tree == exact
-    assert nearest_profile(pts, 2) == exact
+def rosettes(count, ring, seed):
+    """Far-apart copies of a centre with a tie-free ring of radius ~100 round it.
+
+    The centre's squared distances to its ring all lie within ~300 of each
+    other, so its k-d tree nominees never clear the float margin and the
+    centre is re-ranked over all points.
+    """
+    rng = random.Random(seed)
+    points = []
+    for c in range(count):
+        while True:
+            angles = [rng.uniform(0, 2 * math.pi) for _ in range(ring)]
+            rosette = [(0, 0)] + [(round(100 * math.cos(a)), round(100 * math.sin(a))) for a in angles]
+            if len(set(rosette)) == ring + 1 and not reference_ties(pts2d(*rosette)):
+                break
+        points += [(10_000 * c + x, 10_000 * (c % 7) + y) for x, y in rosette]
+    return PointSet.of(points)
+
+
+def test_nearest_profile_matches_reference():
+    cases = {
+        "all points are candidates": random_point_set(300, dim=2, seed=2, grid=100_000),
+        "k-d tree nominees": random_point_set(600, dim=2, seed=2, grid=360_000),
+        "k-d tree in 1D": random_point_set(700, dim=1, seed=3, grid=10**8),
+        "rows failing the float guard": rosettes(50, 11, seed=1),
+    }
+    for label, pts in cases.items():
+        for k in (1, 2, 3):
+            rows, triple = reference_prefix(pts, k)
+            assert triple is None, label
+            assert nearest_profile(pts, k) == rows, (label, k)
+
+
+_grid_points = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=12, unique=True)
+_line_points = st.lists(st.tuples(st.integers(0, 12)), min_size=2, max_size=10, unique=True)
+_fraction = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 7, 11]))
+_fraction_points = st.lists(st.tuples(_fraction, _fraction), min_size=2, max_size=10, unique=True)
+_huge = st.integers(-(2**40), 2**40)
+_huge_points = st.lists(st.tuples(_huge, _huge), min_size=2, max_size=10, unique=True)
+_tiny_points = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=3, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.one_of(_grid_points, _line_points, _fraction_points, _huge_points, _tiny_points),
+    k=st.integers(1, 12),
+)
+def test_nearest_profile_property(points, k):
+    pts = PointSet.of(points)
+    rows, triple = reference_prefix(pts, k)
+    if triple is None:
+        assert nearest_profile(pts, k) == rows
+    else:
+        with pytest.raises(GeneralPositionError) as info:
+            nearest_profile(pts, k)
+        assert info.value.triple == triple
+    assert assert_general_position(pts) == reference_ties(pts)
 
 
 def test_nearest_profile_matches_full_table():

@@ -4,18 +4,21 @@ import random
 
 import pytest
 
-from helpers import naive_best_witness, pts1d
+from helpers import naive_best_witness, pts1d, pts2d
 from multipack import (
     BudgetExceededError,
+    NeighborTable,
     Violation,
     bruteforce_max_r_multipacking,
     bruteforce_profile,
     build_neighbor_table,
     is_r_multipacking,
     load_witness,
+    max_2_multipacking_exact,
     multipacking_number,
     save_witness,
 )
+from multipack.geometry import nearest_profile
 from multipack.instances import random_point_set
 
 POWERS = pts1d(2, 4, 8, 16)
@@ -48,6 +51,22 @@ def test_checker_validates_r_range():
         is_r_multipacking(POWERS, table, {0}, 0)
     with pytest.raises(ValueError):
         is_r_multipacking(POWERS, table, {0}, POWERS.n)
+
+
+def test_checker_rejects_table_narrower_than_r():
+    table = NeighborTable(order=tuple(nearest_profile(POWERS, 2)))
+    assert is_r_multipacking(POWERS, table, {0, 3}, 2)[0]
+    with pytest.raises(ValueError, match="width"):
+        is_r_multipacking(POWERS, table, {0, 3}, 3)
+
+
+def test_oracle_reads_only_the_first_r_plus_one_distances():
+    # point 0 has a tie at ranks 4 and 5, which radius 2 never reads
+    pts = pts2d((0, 0), (1, 0), (0, 2), (0, 3), (10, 0), (0, 10))
+    oracle = bruteforce_max_r_multipacking(pts, 2)
+    assert oracle.indices == max_2_multipacking_exact(pts).indices
+    with pytest.raises(ValueError):
+        bruteforce_max_r_multipacking(pts, 4)
 
 
 def test_checker_validates_member_indices():

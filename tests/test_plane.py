@@ -69,8 +69,20 @@ def test_forest_dp_rejects_cycles():
     with pytest.raises(NotAForestError):
         parse_edge_list("0 1\n1 2\n0 2\n", n=3, kind="nng")
     triangle = parse_edge_list("0 1\n1 2\n0 2\n", n=3)
-    with pytest.raises(NotAForestError):
-        forest_max_independent_set(triangle)
+    square = ConflictGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    for graph in (triangle, square, build_conflict_graph(QUAD)):
+        with pytest.raises(NotAForestError):
+            forest_max_independent_set(graph)
+
+
+def test_forest_check_runs_once_per_r1_solve(monkeypatch):
+    from multipack import plane
+
+    calls = []
+    check = plane._assert_forest
+    monkeypatch.setattr(plane, "_assert_forest", lambda n, edges: calls.append(n) or check(n, edges))
+    assert max_1_multipacking(random_point_set(40, dim=2, seed=3)).size > 0
+    assert calls == [40]
 
 
 def test_max_1_multipacking_examples():
