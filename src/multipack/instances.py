@@ -131,7 +131,10 @@ def random_point_set(
     audit="full" resamples until the set passes the complete general-position
     check; audit="none" only rejects duplicate points, which fits bulk suites
     where downstream code validates the orderings it actually uses.  The grid
-    must satisfy grid >= n*n so collisions stay rare.
+    must satisfy grid >= n*n so collisions stay rare.  It defaults to
+    max(10**6, n*n) in the plane and max(10**6, n**3) on a line, where n*n
+    leaves a tie (an equidistant triple) in almost every draw of a few
+    hundred points.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -140,7 +143,7 @@ def random_point_set(
     if audit not in ("full", "none"):
         raise ValueError(f"audit must be 'full' or 'none', got {audit!r}")
     if grid is None:
-        grid = max(_DEFAULT_GRID, n * n)
+        grid = max(_DEFAULT_GRID, n**3 if dim == 1 else n * n)
     if grid < n * n:
         raise ValueError(f"grid {grid} is below n*n = {n * n}")
     rng = np.random.default_rng(seed)

@@ -1,47 +1,69 @@
 """Solvers and generators for point sets on a line.
 
-The greedy sweep adds points left to right, keeping each one only when the
-candidate set still passes the full neighborhood check.  On a line in general
-position this is exact, and the two generator families pin the floor(n/3)
-lower and floor(n/2) upper bound on the maximum multipacking size.
+The greedy sweep visits points left to right and keeps each one whose
+addition keeps the set an r-multipacking.  On a line in general position
+this is exact, and the two generator families pin the floor(n/3) lower and
+floor(n/2) upper bound on the maximum multipacking size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import NeighborTable, PointSet, nearest_profile
-from .multipacking import SolveReport, is_r_multipacking
+import numpy as np
+
+from .geometry import PointSet, nearest_profile
+from .multipacking import SolveReport
 
 
 def greedy_max_r_multipacking_1d(pts: PointSet, r: int) -> SolveReport:
     """Exact maximum r-multipacking of a 1D point set via the greedy sweep.
 
     Points may arrive in any order; the sweep runs over coordinates ascending
-    and the witness reports original indices.  O(n^2 * r) overall: n sweep
-    steps, each an O(n*r) check.
+    and the witness reports original indices.  The kept set is always an
+    r-multipacking, so adding u can only break the constraints (v, s) with u
+    in N_s[v]; u is kept when every one of them has slack left.  After
+    ranking each point's r nearest neighbors, deciding u reads one integer
+    per row that ranks it (n*(r+1) reads over the sweep), and keeping u
+    rewrites those rows, O(r) integers each.  Memory is O(n*r).
     """
     if pts.dim != 1:
         raise ValueError(f"greedy sweep needs dimension 1, got {pts.dim}")
     n = pts.n
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in 1..{n - 1}, got {r}")
-    table = NeighborTable(order=tuple(nearest_profile(pts, r)))
-    sweep = sorted(range(n), key=lambda i: pts[i][0])
-    members: set[int] = set()
-    checks = 0
-    for idx in sweep:
-        members.add(idx)
-        ok, _ = is_r_multipacking(pts, table, members, r)
-        checks += 1
-        if not ok:
-            members.discard(idx)
+    # ranked[v, k] is v's k-th nearest point; column 0 is v itself
+    profile = np.array(nearest_profile(pts, r), dtype=np.int32)
+    ranked = np.column_stack((np.arange(n, dtype=np.int32), profile))
+    # where each point is ranked: slots[bounds[u]:bounds[u + 1]] are the flat
+    # positions v*(r+1) + k with ranked[v, k] == u, kept in the narrowest
+    # dtype that holds n*(r+1), which trims the sweep's peak memory
+    slots = np.argsort(ranked, axis=None, kind="stable").astype(np.min_scalar_type(ranked.size))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ranked.ravel(), minlength=n))))
+    del profile, ranked
+    # low[v, s-1] = min over t >= s of floor((t+1)/2) - |N_t[v] & kept|; the
+    # bounds rise with t, so for the empty set it is the bound at s itself
+    low = np.tile(np.arange(2, r + 2, dtype=np.int32) >> 1, (n, 1))
+    kept = []
+    for u in sorted(range(n), key=lambda i: pts[i][0]):
+        rows, rank = np.divmod(slots[bounds[u] : bounds[u + 1]], r + 1)
+        cols = np.maximum(rank, 1) - 1  # u counts in N_s[v] for every s >= max(rank, 1)
+        edge = low[rows, cols]
+        if edge.min() < 1:
+            continue
+        # slack drops by one from column cols on: so does every suffix
+        # minimum from cols on, and one before cols (never above the one at
+        # cols) only when it equals it; both are the entries >= edge
+        block = low[rows]
+        block -= block >= edge[:, None]
+        low[rows] = block
+        kept.append(u)
     return SolveReport(
-        size=len(members),
-        indices=tuple(sorted(members)),
+        size=len(kept),
+        indices=tuple(sorted(kept)),
         r=r,
         method="greedy1d",
-        stats={"checks": checks},
+        stats={"checks": n},
     )
 
 

@@ -2,7 +2,15 @@
 
 import itertools
 
-from multipack import PointSet, build_neighbor_table, is_r_multipacking, squared_distance
+from multipack import (
+    NeighborTable,
+    PointSet,
+    SolveReport,
+    build_neighbor_table,
+    is_r_multipacking,
+    squared_distance,
+)
+from multipack.geometry import nearest_profile
 
 
 def pts1d(*coords) -> PointSet:
@@ -43,6 +51,35 @@ def reference_ties(pts):
         for _, tied in sorted(groups.items()):
             out.extend((v, a, b) for a, b in itertools.combinations(tied, 2))
     return out
+
+
+def reference_greedy_1d(pts: PointSet, r: int) -> SolveReport:
+    """The greedy sweep that re-runs the full checker after every insertion.
+
+    O(n^2 * r): n sweep steps, each an O(n*r) check.
+    """
+    if pts.dim != 1:
+        raise ValueError(f"greedy sweep needs dimension 1, got {pts.dim}")
+    n = pts.n
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"r must be in 1..{n - 1}, got {r}")
+    table = NeighborTable(order=tuple(nearest_profile(pts, r)))
+    sweep = sorted(range(n), key=lambda i: pts[i][0])
+    members: set[int] = set()
+    checks = 0
+    for idx in sweep:
+        members.add(idx)
+        ok, _ = is_r_multipacking(pts, table, members, r)
+        checks += 1
+        if not ok:
+            members.discard(idx)
+    return SolveReport(
+        size=len(members),
+        indices=tuple(sorted(members)),
+        r=r,
+        method="greedy1d",
+        stats={"checks": checks},
+    )
 
 
 def assert_valid(pts, indices, r):

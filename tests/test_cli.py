@@ -212,10 +212,10 @@ def test_gen_requires_n_for_sized_families(tmp_path, capsys):
 
 
 def test_gen_random_without_general_position_exits_2(tmp_path, capsys):
-    # on the default 10^6 grid, 400 points on a line always hold an equidistant triple
+    # on a 10^6 grid, 400 points on a line always hold an equidistant triple
     out = tmp_path / "line.csv"
     code, stdout, err = run(capsys, "gen", "--family", "random", "--dim", "1", "--n", "400",
-                            "--out", str(out))
+                            "--grid", "1000000", "--out", str(out))
     assert code == 2
     assert stdout == "" and not out.exists()
     report = json.loads(err)

@@ -65,6 +65,9 @@ def test_random_point_set_general_position():
     for seed in range(10):
         pts = random_point_set(12, dim=2, seed=seed)
         assert assert_general_position(pts) == []
+    # a line's default grid grows as n^3 (a 10^6 grid leaves a tie in every draw of 400)
+    assert assert_general_position(random_point_set(400, dim=1, seed=0)) == []
+    assert random_point_set(100, dim=1, seed=5).points == random_point_set(100, dim=1, seed=5, grid=10**6).points
 
 
 def test_random_point_set_singleton():

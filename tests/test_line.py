@@ -1,7 +1,16 @@
-import pytest
+import hashlib
+import json
+import random
+from fractions import Fraction
 
-from helpers import pts1d, pts2d
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import pts1d, pts2d, reference_greedy_1d
 from multipack import (
+    GeneralPositionError,
+    NeighborTable,
     PointSet,
     bruteforce_max_r_multipacking,
     bruteforce_profile,
@@ -13,6 +22,7 @@ from multipack import (
     upper_family_1d,
     verify_1d_bounds,
 )
+from multipack.geometry import nearest_profile
 from multipack.instances import random_point_set
 
 
@@ -87,6 +97,71 @@ def test_greedy_prefix_maximality():
         witness = set(greedy_max_r_multipacking_1d(pts, r).indices)
         for rejected in set(range(n)) - witness:
             assert not is_r_multipacking(pts, table, witness | {rejected}, r)[0]
+
+
+_line_coordinates = st.one_of(
+    st.lists(st.integers(-(2**40), 2**40), min_size=2, max_size=40, unique=True),
+    st.lists(st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 1000)),
+             min_size=2, max_size=40, unique=True),
+    st.builds(lambda family, n: [c for (c,) in family(n)],
+              st.sampled_from([lower_family_1d, upper_family_1d]), st.integers(2, 40)),
+    # a short range forces ties, which both sweeps must raise alike
+    st.lists(st.integers(0, 30), min_size=2, max_size=12, unique=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinates=_line_coordinates, data=st.data())
+def test_greedy_matches_reference_sweep(coordinates, data):
+    shuffled = data.draw(st.permutations(coordinates))
+    pts = PointSet.of([(c,) for c in shuffled])
+    for r in range(1, pts.n):
+        try:
+            expected = reference_greedy_1d(pts, r)
+        except GeneralPositionError as exc:
+            with pytest.raises(GeneralPositionError) as info:
+                greedy_max_r_multipacking_1d(pts, r)
+            assert info.value.triple == exc.triple
+            continue
+        assert greedy_max_r_multipacking_1d(pts, r) == expected
+
+
+def _moved(pts: PointSet, seed: int) -> PointSet:
+    rng = random.Random(seed)
+    shift = rng.randrange(-10**6, 10**6)
+    rows = [(c + shift,) for (c,) in pts]
+    rng.shuffle(rows)
+    return PointSet.of(rows)
+
+
+def test_family_witnesses_are_pinned():
+    # SHA-1 of the JSON witness list; recorded with the sweep that re-ran the
+    # full checker after every insertion
+    lower, upper = lower_family_1d(300), upper_family_1d(299)
+    cases = {
+        "lower300": (lower, "7b9d0c86108f04bd1e9c87a679df4082dea0b8ba"),
+        "upper299": (upper, "24a7060411b7a5ed4a6248926fa7807d1c719933"),
+        "lower300 moved": (_moved(lower, 1), "320c3fd0359a7b7f7b5b3afe363dcac5168d9419"),
+        "upper299 moved": (_moved(upper, 2), "d703132df1b085aab2d5af2a434ac15235a5de20"),
+    }
+    for label, (pts, digest) in cases.items():
+        report = greedy_max_r_multipacking_1d(pts, pts.n - 1)
+        assert report.stats == {"checks": pts.n}, label
+        assert hashlib.sha1(json.dumps(list(report.indices)).encode()).hexdigest() == digest, label
+
+
+def test_greedy_long_line_small_radius():
+    # triangular numbers from T_7 on: point i's gaps are i+7 (left) and i+8
+    # (right), so its three nearest are never tied, and the span (~2*10^8)
+    # stays under the k-d tree ranking limit
+    n = 20_000
+    pts = PointSet.of([((i + 7) * (i + 8) // 2 - 28,) for i in range(n)])
+    report = greedy_max_r_multipacking_1d(pts, 2)
+    table = NeighborTable(order=tuple(nearest_profile(pts, 2)))
+    assert is_r_multipacking(pts, table, report.indices, 2) == (True, None)
+    # N_2[i] = {i-1, i, i+1} inside the line: at most one member per three
+    # consecutive points, so every third point is the optimum
+    assert report.indices == tuple(range(0, n, 3))
 
 
 def test_lower_family_values():
