@@ -115,8 +115,7 @@ def build_nearest_neighbor_graph(pts: PointSet, table: NeighborTable | None = No
         nearest = [table.order[v][0] for v in range(n)]
     else:
         nearest = [row[0] for row in nearest_profile(pts, 1)]
-    edges = sorted({(min(v, u), max(v, u)) for v, u in enumerate(nearest)})
-    return ConflictGraph.from_edges(n, edges, kind="nng")
+    return ConflictGraph.from_edges(n, enumerate(nearest), kind="nng")
 
 
 def build_conflict_graph(pts: PointSet, table: NeighborTable | None = None) -> ConflictGraph:
@@ -129,12 +128,12 @@ def build_conflict_graph(pts: PointSet, table: NeighborTable | None = None) -> C
         pairs = [(table.order[v][0], table.order[v][1]) for v in range(n)]
     else:
         pairs = two_nearest(pts)
-    edges = set()
+    rows: list[set[int]] = [set() for _ in range(n)]
     for v, (a, b) in enumerate(pairs):
-        edges.add((min(v, a), max(v, a)))
-        edges.add((min(v, b), max(v, b)))
-        edges.add((min(a, b), max(a, b)))
-    return ConflictGraph.from_edges(n, sorted(edges), kind="conflict")
+        rows[v].update((a, b))
+        rows[a].update((v, b))
+        rows[b].update((v, a))
+    return ConflictGraph(n=n, adj=tuple(tuple(sorted(r)) for r in rows), kind="conflict")
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +194,13 @@ def max_1_multipacking(pts: PointSet) -> SolveReport:
         return SolveReport(size=1, indices=(0,), r=1, method="nng", stats={"components": 1})
     graph = build_nearest_neighbor_graph(pts)
     witness = forest_max_independent_set(graph)
-    components = pts.n - len(graph.edges())
+    edges = len(graph.edges())
     return SolveReport(
         size=len(witness),
         indices=witness,
         r=1,
         method="nng",
-        stats={"components": components, "edges": len(graph.edges())},
+        stats={"components": pts.n - edges, "edges": edges},
     )
 
 
@@ -526,56 +525,71 @@ def _greedy_min_degree(graph: ConflictGraph) -> list[int]:
     return sorted(chosen)
 
 
-def greedy_2_multipacking(pts: PointSet) -> SolveReport:
-    """Minimum-degree greedy on the conflict graph plus swap improvement.
+def _local_search(graph: ConflictGraph, members: list[int]) -> tuple[list[int], int, int]:
+    """Improve an independent set until no free insert or 1-out/2-in swap applies.
 
-    The greedy pass removes at most 18 vertices per pick, so the result has
-    at least n/18 members.  Local search then repeatedly inserts any vertex
-    that conflicts with nothing and applies 1-out/2-in swaps (drop one
-    member, add two compatible vertices) until neither step applies.
+    `members` must be sorted.  Each round counts every vertex's blockers
+    (the members in its closed neighborhood) and then inserts the smallest
+    vertex with none or, failing that, makes the first swap: the first member
+    u, in ascending order, whose pool -- the vertices blocked by u alone, in
+    ascending order -- holds a non-adjacent pair, and the first such pair.
+    The pools are bucketed by owner in one pass, so a round costs O(n * D)
+    for maximum degree D.  Returns (members, rounds, improvements); every
+    round but the last makes one improvement.
     """
-    graph = build_conflict_graph(pts)
     n = graph.n
     adj = graph.adj
-    members = _greedy_min_degree(graph)
-    greedy_size = len(members)
     rounds = 0
     improvements = 0
     while True:
         rounds += 1
-        # blocker count per vertex: how many members cover it (self counts)
         count = [0] * n
         owner = [-1] * n
         for w in members:
             for x in (w, *adj[w]):
                 count[x] += 1
                 owner[x] = w
-        free = next((x for x in range(n) if count[x] == 0), None)
+        free = None
+        pools: dict[int, list[int]] = {}
+        for x in range(n):
+            if count[x] == 0:
+                free = x
+                break
+            if count[x] == 1:
+                pools.setdefault(owner[x], []).append(x)
         if free is not None:
             members.append(free)
             members.sort()
             improvements += 1
             continue
-        swapped = False
         for u in members:
-            pool = [x for x in range(n) if count[x] == 1 and owner[x] == u]
-            done = False
-            for i, x in enumerate(pool):
-                for y in pool[i + 1 :]:
-                    if y not in adj[x]:
-                        members.remove(u)
-                        members.extend((x, y))
-                        members.sort()
-                        improvements += 1
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                swapped = True
+            pool = pools.get(u, [])
+            pair = next(((x, y) for i, x in enumerate(pool) for y in pool[i + 1 :] if y not in adj[x]), None)
+            if pair is not None:
+                members.remove(u)
+                members.extend(pair)
+                members.sort()
+                improvements += 1
                 break
-        if not swapped:
-            break
+        else:
+            return members, rounds, improvements
+
+
+def greedy_2_multipacking(pts: PointSet) -> SolveReport:
+    """Minimum-degree greedy on the conflict graph plus swap improvement.
+
+    The greedy pass removes at most 18 vertices per pick, so the result has
+    at least n/18 members.  Local search then repeatedly inserts any vertex
+    that conflicts with nothing and applies 1-out/2-in swaps (drop one
+    member, add two compatible vertices) until neither step applies.  Each
+    round of it is one O(n * D) pass over the conflict graph (maximum degree
+    D <= 17) and makes one improvement, except the last, so rounds =
+    improvements + 1.
+    """
+    graph = build_conflict_graph(pts)
+    members = _greedy_min_degree(graph)
+    greedy_size = len(members)
+    members, rounds, improvements = _local_search(graph, members)
     return SolveReport(
         size=len(members),
         indices=tuple(members),

@@ -120,3 +120,51 @@ def naive_max_independent_sets(n, edges):
         if best:
             break
     return best_size, best
+
+
+def reference_local_search(graph, members):
+    """The greedy's swap loop as it was: one O(n) pool scan per member.
+
+    O(n * |M|) per round.  `members` is a sorted list; returns
+    (members, rounds, improvements).
+    """
+    n = graph.n
+    adj = graph.adj
+    rounds = 0
+    improvements = 0
+    while True:
+        rounds += 1
+        # blocker count per vertex: how many members cover it (self counts)
+        count = [0] * n
+        owner = [-1] * n
+        for w in members:
+            for x in (w, *adj[w]):
+                count[x] += 1
+                owner[x] = w
+        free = next((x for x in range(n) if count[x] == 0), None)
+        if free is not None:
+            members.append(free)
+            members.sort()
+            improvements += 1
+            continue
+        swapped = False
+        for u in members:
+            pool = [x for x in range(n) if count[x] == 1 and owner[x] == u]
+            done = False
+            for i, x in enumerate(pool):
+                for y in pool[i + 1 :]:
+                    if y not in adj[x]:
+                        members.remove(u)
+                        members.extend((x, y))
+                        members.sort()
+                        improvements += 1
+                        done = True
+                        break
+                if done:
+                    break
+            if done:
+                swapped = True
+                break
+        if not swapped:
+            break
+    return members, rounds, improvements

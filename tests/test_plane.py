@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import naive_max_independent_sets, pts2d
+from helpers import naive_max_independent_sets, pts2d, reference_local_search
 from multipack import (
     BudgetExceededError,
     ConflictGraph,
@@ -24,8 +27,9 @@ from multipack import (
     max_degree_audit,
     parse_edge_list,
 )
+from multipack.geometry import nearest_profile
 from multipack.instances import pentagon_five, random_point_set
-from multipack.plane import DEGREE_BOUND
+from multipack.plane import DEGREE_BOUND, _greedy_min_degree, _local_search
 
 QUAD = pts2d((0, 0), (1, 0), (3, 0), (7, 0))
 
@@ -312,6 +316,98 @@ def test_greedy_2_multipacking_is_valid_and_near_optimal():
 def test_greedy_2_multipacking_pigeonhole_floor():
     pts = random_point_set(60, dim=2, seed=8)
     assert greedy_2_multipacking(pts).size >= 60 // 18 + 1
+
+
+# witness SHA-1 and stats of greedy_2_multipacking(random_point_set(5000, seed=s,
+# audit="none")), recorded before the swap pools were bucketed by owner
+GREEDY_PINS = {
+    1: ("a024d6bc445b60c97e023ba2dde204176970db6d", 1940, 1940, 1, 0),
+    6: ("25ee7e7050690f2168f860af47581ec5724e1307", 1952, 1951, 2, 1),
+    9: ("17c521da80c310da7171c3f7244e565c8a753dba", 1943, 1942, 2, 1),
+    13: ("a959064950cf2c3bc780fbf0005066726f80b7e6", 1938, 1937, 2, 1),
+    21: ("1cc625e68aa9bdbc7fa68537b6741c36f02424f5", 1973, 1972, 2, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_greedy():
+    out = []
+    for seed in GREEDY_PINS:
+        pts = random_point_set(5000, dim=2, seed=seed, audit="none")
+        out.append((seed, pts, greedy_2_multipacking(pts)))
+    return out
+
+
+def test_greedy_witnesses_are_pinned(pinned_greedy):
+    for seed, _, report in pinned_greedy:
+        digest, size, greedy_size, rounds, improvements = GREEDY_PINS[seed]
+        assert hashlib.sha1(repr(report.indices).encode()).hexdigest() == digest
+        assert report.size == size
+        assert report.stats == {"greedy_size": greedy_size, "rounds": rounds,
+                                "improvements": improvements, "max_degree": 8}
+
+
+def _assert_local_fixpoint(pts, members):
+    """No vertex is free and no member alone blocks two non-adjacent vertices.
+
+    Conflicts come straight from each point's two nearest neighbors, and a
+    vertex's blockers are the members equal or adjacent to it.
+    """
+    adjacent = set()
+    for v, (a, b) in enumerate(nearest_profile(pts, 2)):
+        adjacent.update(itertools.permutations((v, a, b), 2))
+    chosen = set(members)
+    blockers = [{x} & chosen for x in range(pts.n)]
+    for a, b in adjacent:
+        if a in chosen:
+            blockers[b].add(a)
+    assert all(blockers[m] == {m} for m in members), "members conflict"
+    assert all(blockers), "a free vertex is left"
+    alone: dict[int, list[int]] = {}
+    for x, found in enumerate(blockers):
+        if len(found) == 1:
+            alone.setdefault(min(found), []).append(x)
+    for u, pool in alone.items():
+        for x, y in itertools.combinations(pool, 2):
+            assert (x, y) in adjacent, f"swap {u} -> {x}, {y} is left"
+
+
+def test_greedy_ends_at_a_local_search_fixpoint(pinned_greedy):
+    for _, pts, report in pinned_greedy:
+        _assert_local_fixpoint(pts, report.indices)
+    for seed in range(40):
+        pts = random_point_set(3 + seed * 2, dim=2, seed=seed)
+        _assert_local_fixpoint(pts, greedy_2_multipacking(pts).indices)
+
+
+@st.composite
+def _generic_graphs(draw) -> ConflictGraph:
+    n = draw(st.integers(1, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ConflictGraph.from_edges(n, edges)
+
+
+_local_search_graphs = st.one_of(
+    st.builds(lambda n, seed: build_conflict_graph(random_point_set(n, dim=2, seed=seed)),
+              st.integers(3, 80), st.integers(0, 10**6)),
+    _generic_graphs(),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graph=_local_search_graphs, data=st.data())
+def test_local_search_matches_reference(graph, data):
+    # greedy starts on random point sets almost never leave a swap, so the
+    # search also starts from poor sets that force inserts and swaps
+    order = data.draw(st.permutations(range(graph.n)), label="order")
+    maximal: list[int] = []
+    for v in order:
+        if not any(u in graph.adj[v] for u in maximal):
+            maximal.append(v)
+    single = data.draw(st.integers(0, graph.n - 1), label="single")
+    for start in ([], [single], sorted(maximal), _greedy_min_degree(graph)):
+        assert _local_search(graph, list(start)) == reference_local_search(graph, list(start))
 
 
 def test_degree_audit_examples():
