@@ -50,7 +50,7 @@ def main():
     print("== the parameterized route answers size-k queries directly ==")
     for k in range(exact.size - 1, exact.size + 2):
         found = fpt_2_multipacking(pts, k)
-        if found is None:
+        if found.size == 0:
             print(f"  k={k}: none (matches exact optimum {exact.size})")
         else:
             print(f"  k={k}: found, {found.stats['nodes']} nodes "

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -35,7 +34,6 @@ from .instances import (
 from .line import greedy_max_r_multipacking_1d, lower_family_1d, upper_family_1d
 from .multipacking import (
     BudgetExceededError,
-    SolveReport,
     bruteforce_max_r_multipacking,
     is_r_multipacking,
     load_witness,
@@ -43,7 +41,7 @@ from .multipacking import (
 from .plane import (
     build_conflict_graph,
     edge_list_text,
-    fpt_find_in_graph,
+    fpt_2_multipacking,
     greedy_2_multipacking,
     max_1_multipacking,
     max_2_multipacking_exact,
@@ -94,19 +92,6 @@ def _parse_radius(text: str, n: int) -> int:
     return r
 
 
-def _resolve_threads(args) -> int:
-    value = args.threads
-    if value is None:
-        raw = os.environ.get("MULTIPACK_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise CliError(EXIT_PARSE, "input", f"MULTIPACK_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise CliError(EXIT_PARSE, "input", f"thread count must be >= 1, got {value}")
-    return value
-
-
 def cmd_solve(args) -> int:
     pts = load_points(args.input)
     n = pts.n
@@ -147,16 +132,8 @@ def cmd_solve(args) -> int:
             raise CliError(EXIT_METHOD, "method", f"fpt solves r=2 only, got r={r}")
         if args.k is None or args.k < 1:
             raise CliError(EXIT_METHOD, "method", "fpt needs --k >= 1")
-        graph = build_conflict_graph(pts)
-        witness, nodes = fpt_find_in_graph(graph, args.k, max_nodes=args.budget)
-        payload = SolveReport(
-            size=0 if witness is None else args.k,
-            indices=tuple(witness or ()),
-            r=2,
-            method="fpt",
-            stats={"nodes": nodes, "node_budget": 18**args.k},
-        ).to_json_dict()
-        if witness is None:
+        payload = fpt_2_multipacking(pts, args.k, max_nodes=args.budget).to_json_dict()
+        if payload["size"] == 0:
             payload = {"found": False, **payload}
     else:  # bruteforce fallback for radii no dedicated solver covers
         payload = bruteforce_max_r_multipacking(pts, r, limit_n=args.limit_n).to_json_dict()
@@ -235,7 +212,6 @@ _BENCH_HEADER = [
 
 def cmd_bench(args) -> int:
     family = args.family
-    threads = _resolve_threads(args)
     rows: list[list] = []
     worst_ratio = 0.0
     summary = ""
@@ -300,7 +276,7 @@ def cmd_bench(args) -> int:
     elif family == "scan6":
         trials = args.trials if args.trials is not None else 1000
         started = time.perf_counter()
-        scan = scan_six_point_sets(trials, seed=args.seed, threads=threads)
+        scan = scan_six_point_sets(trials, seed=args.seed)
         total_ms = (time.perf_counter() - started) * 1000.0
         per_ms = total_ms / trials
         for t, size in enumerate(scan["sizes"]):
@@ -347,14 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="multipack",
         description="Exact and heuristic solvers for multipacking problems on point sets.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help="worker thread cap (default: MULTIPACK_THREADS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="maximize an r-multipacking")
+    p = sub.add_parser("solve", help="maximize an r-multipacking")
     p.add_argument("--input", required=True, help="point file (.csv or .json)")
     p.add_argument("--r", default="full", help="radius, or 'full' for n-1")
     p.add_argument(
@@ -368,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle fallback size cap")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("check", parents=[common], help="validate a witness set")
+    p = sub.add_parser("check", help="validate a witness set")
     p.add_argument("--input", required=True)
     p.add_argument("--set", required=True, help="witness JSON with 'indices' (and usually 'r')")
     p.add_argument("--r", default=None, help="radius override, or 'full'")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("gen", parents=[common], help="generate an instance CSV")
+    p = sub.add_parser("gen", help="generate an instance CSV")
     p.add_argument("--family", required=True,
                    choices=["lower1d", "upper1d", "pentagon", "square4", "random"])
     p.add_argument("--n", type=int, default=None)
@@ -386,13 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("audit-degree", parents=[common],
-                       help="max conflict-graph degree vs the 17 bound")
+    p = sub.add_parser("audit-degree", help="max conflict-graph degree vs the 17 bound")
     p.add_argument("--input", required=True)
     p.add_argument("--dump-edges", default=None, help="also write the edge list here")
     p.set_defaults(func=cmd_audit_degree)
 
-    p = sub.add_parser("bench", parents=[common], help="benchmark suites, CSV report")
+    p = sub.add_parser("bench", help="benchmark suites, CSV report")
     p.add_argument("--family", required=True, choices=["random1d", "random2d", "scan6"])
     p.add_argument("--n-min", dest="n_min", type=int, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
@@ -406,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="blank the wall_ms column for byte-reproducible reports")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("render", parents=[common], help="draw points (and a witness) as SVG")
+    p = sub.add_parser("render", help="draw points (and a witness) as SVG")
     p.add_argument("--input", required=True)
     p.add_argument("--set", default=None, help="witness JSON to highlight")
     p.add_argument("--circles", action="store_true",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from importlib import resources
 
@@ -163,29 +162,20 @@ def _scan_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def scan_six_point_sets(trials: int, seed: int, threads: int = 1) -> dict:
+def scan_six_point_sets(trials: int, seed: int) -> dict:
     """Compute the maximum multipacking size of many random 6-point sets.
 
     Returns {"checked", "min_mp", "sizes", "counterexamples"}; a counterexample
     is any instance whose maximum multipacking has fewer than 2 members.
-    Results are independent of the thread count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    def run(trial: int) -> tuple[int, list]:
-        pts = random_point_set(6, dim=2, seed=_scan_seed(seed, trial), grid=_DEFAULT_GRID)
-        return multipacking_number(pts), [list(p) for p in pts.points]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(trials)))
-    else:
-        results = [run(t) for t in range(trials)]
-    sizes = [mp for mp, _ in results]
+    sets = [random_point_set(6, dim=2, seed=_scan_seed(seed, t), grid=_DEFAULT_GRID) for t in range(trials)]
+    sizes = [multipacking_number(pts) for pts in sets]
     counterexamples = [
-        {"trial": t, "points": points, "mp": mp}
-        for t, (mp, points) in enumerate(results)
+        {"trial": t, "points": [list(p) for p in pts.points], "mp": mp}
+        for t, (pts, mp) in enumerate(zip(sets, sizes))
         if mp < 2
     ]
     return {

@@ -233,7 +233,8 @@ def load_witness(path: str | Path) -> tuple[tuple[int, ...], int | None]:
     """Read a witness file; returns (indices, r or None).
 
     Accepts both the plain witness format and full solver reports, since both
-    carry 'indices' (and usually 'r').
+    carry 'indices' (and usually 'r').  Duplicate indices, and a 'size' other
+    than the number of indices, raise ValueError.
     """
     with open(path) as fh:
         try:
@@ -247,6 +248,11 @@ def load_witness(path: str | Path) -> tuple[tuple[int, ...], int | None]:
         isinstance(i, int) and not isinstance(i, bool) for i in indices
     ):
         raise ValueError(f"{path}: 'indices' must be a list of integers")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"{path}: 'indices' repeats an index")
+    size = data.get("size", len(indices))
+    if size != len(indices) or isinstance(size, bool):
+        raise ValueError(f"{path}: 'size' is {size!r} but 'indices' holds {len(indices)}")
     r = data.get("r")
     if r is not None and (not isinstance(r, int) or isinstance(r, bool)):
         raise ValueError(f"{path}: 'r' must be an integer")

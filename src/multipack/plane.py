@@ -208,12 +208,15 @@ def max_1_multipacking(pts: PointSet) -> SolveReport:
 # exact independent set (branch and bound on bitmasks)
 # ---------------------------------------------------------------------------
 
-def _adjacency_masks(graph: ConflictGraph) -> list[int]:
+def _adjacency_masks(adj: tuple[tuple[int, ...], ...], verts) -> list[int]:
+    """Neighbor masks of the subgraph on `verts` (a union of components),
+    with bit j standing for verts[j]."""
+    local = {v: j for j, v in enumerate(verts)}
     masks = []
-    for row in graph.adj:
+    for v in verts:
         m = 0
-        for u in row:
-            m |= 1 << u
+        for u in adj[v]:
+            m |= 1 << local[u]
         masks.append(m)
     return masks
 
@@ -241,13 +244,15 @@ def _clique_cover_bound(adjm: list[int], rem: int) -> int:
 
 
 class _Search:
-    """Branch and bound over the vertex masks of one graph.
+    """Independent-set search over the vertex masks of one graph.
 
-    Both methods branch on a vertex of maximum remaining degree (ties toward
-    the smaller index), prune with the greedy clique-cover bound, and first
-    take every vertex with at most one remaining neighbor.  `nodes` counts
-    search calls on top of the count passed in, so one `max_nodes` budget
-    can span several searches; going past it raises BudgetExceededError.
+    Both branching rules prune with the greedy clique-cover bound and return
+    a mask or None.  `find` branches on a vertex of maximum remaining degree
+    (ties toward the smaller index) after taking every vertex with at most
+    one remaining neighbor; `fpt` branches over the closed neighborhood of a
+    vertex of minimum remaining degree.  `nodes` counts search calls on top
+    of the count passed in, so one `max_nodes` budget can span several
+    searches; going past it raises BudgetExceededError.
     """
 
     def __init__(self, adjm: list[int], max_nodes: int | None, nodes: int = 0):
@@ -277,43 +282,6 @@ class _Search:
             if not changed:
                 return rem, taken
 
-    def _branch_vertex(self, rem: int) -> int:
-        adjm = self.adjm
-        return max(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
-
-    def max_set(self, rem: int) -> int:
-        """A maximum independent set inside `rem`, as a mask.
-
-        A minimum-degree greedy set (ties toward the smaller index) is the
-        first lower bound, so the clique-cover bound prunes from the start.
-        """
-        adjm, closed = self.adjm, self.closed
-        best = 0
-        left = rem
-        while left:
-            v = min(_iter_bits(left), key=lambda u: ((adjm[u] & left).bit_count(), u))
-            best |= 1 << v
-            left &= ~closed[v]
-        best_size = best.bit_count()
-
-        def rec(rem: int, cur: int) -> None:
-            nonlocal best, best_size
-            self._tick()
-            rem, cur = self._reduce(rem, cur)
-            size = cur.bit_count()
-            if rem == 0:
-                if size > best_size:
-                    best, best_size = cur, size
-                return
-            if size + _clique_cover_bound(adjm, rem) <= best_size:
-                return
-            v = self._branch_vertex(rem)
-            rec(rem & ~closed[v], cur | (1 << v))
-            rec(rem & ~(1 << v), cur)
-
-        rec(rem, 0)
-        return best
-
     def find(self, rem: int, k: int) -> int | None:
         """An independent set of size >= k inside `rem` as a mask, or None."""
         self._tick()
@@ -325,12 +293,34 @@ class _Search:
             return taken
         if rem == 0 or _clique_cover_bound(self.adjm, rem) < k:
             return None
-        v = self._branch_vertex(rem)
+        adjm = self.adjm
+        v = max(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
         found = self.find(rem & ~self.closed[v], k - 1)
         if found is not None:
             return taken | (1 << v) | found
         found = self.find(rem & ~(1 << v), k)
         return None if found is None else taken | found
+
+    def fpt(self, rem: int, k: int) -> int | None:
+        """An independent set of size exactly k inside `rem` as a mask, or None.
+
+        Every independent set of size k can be moved to intersect the closed
+        neighborhood of any vertex, so branching over the <= 18 members of a
+        minimum-degree vertex's closed neighborhood and recursing with k-1
+        explores at most 18^k nodes.
+        """
+        self._tick()
+        if k == 0:
+            return 0
+        if rem == 0 or _clique_cover_bound(self.adjm, rem) < k:
+            return None
+        adjm, closed = self.adjm, self.closed
+        v = min(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), u))
+        for u in _iter_bits(closed[v] & rem):
+            found = self.fpt(rem & ~closed[u], k - 1)
+            if found is not None:
+                return found | (1 << u)
+        return None
 
 
 def _components(adj: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -352,17 +342,21 @@ def _components(adj: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return comps
 
 
-def _first_max_set(search: _Search) -> int:
+def _first_max_set(search: _Search, known: int) -> int:
     """Lexicographically smallest maximum independent set of the whole graph.
 
-    Visits vertices in ascending order and takes each one that still leaves
-    room for an optimum.  `known` is an optimum that agrees with every
+    `known` is an independent set, the component's share of the
+    minimum-degree greedy set.  `find` first raises it to an optimum, one
+    size at a time, until no larger set exists.  The witness pass then
+    visits vertices in ascending order and takes each one that still leaves
+    room for an optimum.  `known` stays an optimum that agrees with every
     decision so far: a vertex in it is taken without a search, and a
     successful search for any other vertex becomes the new `known`.
     """
     closed = search.closed
     rem = (1 << len(closed)) - 1
-    known = search.max_set(rem)
+    while (better := search.find(rem, known.bit_count() + 1)) is not None:
+        known = better
     need = known.bit_count()
     chosen = 0
     for i in range(len(closed)):
@@ -385,20 +379,16 @@ def _first_max_set(search: _Search) -> int:
 
 def _exact_max_is(graph: ConflictGraph, max_nodes: int | None) -> tuple[tuple[int, ...], dict]:
     """`exact_max_is` plus its stats: nodes, components, largest component."""
-    adj = graph.adj
-    comps = _components(adj)
+    comps = _components(graph.adj)
+    seed = bytearray(graph.n)
+    for v in _greedy_min_degree(graph):
+        seed[v] = 1
     nodes = 0
     witness: list[int] = []
     for verts in comps:
-        local = {v: j for j, v in enumerate(verts)}
-        adjm = []
-        for v in verts:
-            m = 0
-            for u in adj[v]:
-                m |= 1 << local[u]
-            adjm.append(m)
-        search = _Search(adjm, max_nodes, nodes)
-        witness.extend(verts[j] for j in _iter_bits(_first_max_set(search)))
+        search = _Search(_adjacency_masks(graph.adj, verts), max_nodes, nodes)
+        known = sum(1 << j for j, v in enumerate(verts) if seed[v])
+        witness.extend(verts[j] for j in _iter_bits(_first_max_set(search, known)))
         nodes = search.nodes
     stats = {"nodes": nodes, "components": len(comps), "largest_component": max(map(len, comps))}
     return tuple(sorted(witness)), stats
@@ -408,15 +398,16 @@ def exact_max_is(graph: ConflictGraph, max_nodes: int | None = None) -> tuple[tu
     """Maximum independent set with a deterministic witness.
 
     Each connected component is solved on its own masks, re-indexed to local
-    bits in ascending vertex order: branch and bound (max-degree branching,
-    greedy clique-cover pruning, degree <= 1 reductions) finds an optimum,
-    then a witness pass forces the lexicographically smallest optimum of the
-    component index by index.  The union over components is the
-    lexicographically smallest maximum independent set of the whole graph,
-    since every forced choice constrains only its own component.
-    Returns (witness, explored nodes), the nodes summed over every component
-    and both passes; max_nodes caps that total and raises
-    BudgetExceededError past it.
+    bits in ascending vertex order.  The component's share of one
+    minimum-degree greedy set is the first lower bound; branch and bound
+    (`_Search.find`: max-degree branching, greedy clique-cover pruning,
+    degree <= 1 reductions) raises it to an optimum, then a witness pass
+    forces the lexicographically smallest optimum of the component index by
+    index.  The union over components is the lexicographically smallest
+    maximum independent set of the whole graph, since every forced choice
+    constrains only its own component.  Returns (witness, explored nodes),
+    the nodes summed over every component and both passes; max_nodes caps
+    that total and raises BudgetExceededError past it.
     """
     witness, stats = _exact_max_is(graph, max_nodes)
     return witness, stats["nodes"]
@@ -444,50 +435,23 @@ def fpt_find_in_graph(
 ) -> tuple[tuple[int, ...] | None, int]:
     """Find an independent set of size exactly k, or report none.
 
-    Every independent set of size k can be moved to intersect the closed
-    neighborhood of any vertex, so branching over the <= 18 members of a
-    minimum-degree vertex's closed neighborhood and recursing with k-1
-    explores at most 18^k nodes; a clique-cover bound prunes dead branches
-    early without affecting that ceiling.
+    Runs `_Search.fpt` on the whole graph: at most 18^k nodes for a graph of
+    maximum degree 17.  Returns (witness or None, explored nodes).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    adjm = _adjacency_masks(graph)
-    closed = [m | (1 << v) for v, m in enumerate(adjm)]
-    state = {"nodes": 0}
-
-    def rec(rem: int, need: int, chosen: tuple[int, ...]) -> tuple[int, ...] | None:
-        state["nodes"] += 1
-        if max_nodes is not None and state["nodes"] > max_nodes:
-            raise BudgetExceededError(f"search exceeded {max_nodes} nodes")
-        if need == 0:
-            return chosen
-        if rem == 0:
-            return None
-        if _clique_cover_bound(adjm, rem) < need:
-            return None
-        v = min(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), u))
-        for u in _iter_bits(closed[v] & rem):
-            found = rec(rem & ~closed[u], need - 1, chosen + (u,))
-            if found is not None:
-                return found
-        return None
-
-    result = rec((1 << graph.n) - 1, k, ())
-    if result is None:
-        return None, state["nodes"]
-    return tuple(sorted(result)), state["nodes"]
+    search = _Search(_adjacency_masks(graph.adj, range(graph.n)), max_nodes)
+    found = search.fpt((1 << graph.n) - 1, k)
+    return (None if found is None else tuple(_iter_bits(found))), search.nodes
 
 
-def fpt_2_multipacking(pts: PointSet, k: int, max_nodes: int | None = None) -> SolveReport | None:
-    """2-multipacking of size exactly k, or None when no such set exists."""
+def fpt_2_multipacking(pts: PointSet, k: int, max_nodes: int | None = None) -> SolveReport:
+    """2-multipacking of size exactly k; size 0 and no indices when none exists."""
     graph = build_conflict_graph(pts)
     witness, nodes = fpt_find_in_graph(graph, k, max_nodes=max_nodes)
-    if witness is None:
-        return None
     return SolveReport(
-        size=k,
-        indices=witness,
+        size=0 if witness is None else k,
+        indices=witness or (),
         r=2,
         method="fpt",
         stats={"nodes": nodes, "node_budget": 18**k},

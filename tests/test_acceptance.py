@@ -181,7 +181,7 @@ def test_criterion_09_small_extremal_instances():
     assert multipacking_number(pentagon_five()) == 1
     assert max_2_multipacking_exact(pentagon_five()).size == 1
     assert multipacking_number(square_four()) == 1
-    scan = scan_six_point_sets(1000, seed=0, threads=2)
+    scan = scan_six_point_sets(1000, seed=0)
     elapsed = time.perf_counter() - started
     assert scan["counterexamples"] == []
     assert scan["min_mp"] >= 2

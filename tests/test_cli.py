@@ -173,6 +173,34 @@ def test_check_index_out_of_range(quad, tmp_path, capsys):
     assert code == 2
 
 
+def _assert_check_and_render_reject(capsys, points, witness, tmp_path):
+    for extra in ((), ("--out", str(tmp_path / "x.svg"))):
+        command = "render" if extra else "check"
+        code, out, err = run(capsys, command, "--input", points, "--set", str(witness), *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "input"
+
+
+def test_check_rejects_duplicate_indices(tmp_path, capsys):
+    points = str(tmp_path / "rand40.csv")
+    run(capsys, "gen", "--family", "random", "--n", "40", "--seed", "5", "--out", points)
+    witness = tmp_path / "dup.json"
+    witness.write_text('{"indices": [1, 1, 2], "r": 2}')
+    _assert_check_and_render_reject(capsys, points, witness, tmp_path)
+
+
+def test_check_rejects_a_size_the_indices_do_not_have(tmp_path, capsys):
+    points = str(tmp_path / "rand40.csv")
+    run(capsys, "gen", "--family", "random", "--n", "40", "--seed", "5", "--out", points)
+    witness = tmp_path / "witness.json"
+    code, _, _ = run(capsys, "solve", "--input", points, "--r", "2", "--out", str(witness))
+    assert code == 0
+    report = json.loads(witness.read_text())
+    assert report["size"] == len(report["indices"]) == 16
+    witness.write_text(json.dumps({**report, "size": 21}))
+    _assert_check_and_render_reject(capsys, points, witness, tmp_path)
+
+
 def test_gen_upper1d_values(tmp_path, capsys):
     out = tmp_path / "upper7.csv"
     code, _, _ = run(capsys, "gen", "--family", "upper1d", "--n", "7", "--out", str(out))
@@ -287,17 +315,6 @@ def test_bench_rejects_oversized_oracle_range(tmp_path, capsys):
     code, _, _ = run(capsys, "bench", "--family", "random1d", "--n-max", "20",
                      "--report", str(tmp_path / "x.csv"))
     assert code == 3
-
-
-def test_threads_env_var_is_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MULTIPACK_THREADS", "zero")
-    code, _, err = run(capsys, "bench", "--family", "scan6", "--trials", "2",
-                       "--report", str(tmp_path / "x.csv"))
-    assert code == 2
-    monkeypatch.setenv("MULTIPACK_THREADS", "2")
-    code, _, _ = run(capsys, "bench", "--family", "scan6", "--trials", "2",
-                     "--no-timing", "--report", str(tmp_path / "y.csv"))
-    assert code == 0
 
 
 def test_render_writes_svg(pentagon, tmp_path, capsys):

@@ -94,12 +94,6 @@ def test_scan_six_point_sets_small_run():
     assert len(scan["sizes"]) == 50
 
 
-def test_scan_is_thread_count_independent():
-    solo = scan_six_point_sets(30, seed=3, threads=1)
-    multi = scan_six_point_sets(30, seed=3, threads=4)
-    assert solo == multi
-
-
 def test_scan_validates_trials():
     with pytest.raises(ValueError):
         scan_six_point_sets(0, seed=0)

@@ -166,6 +166,22 @@ def test_exact_is_matches_naive_enumeration():
         assert witness == min(best_sets)
 
 
+@pytest.mark.parametrize("n, edges, greedy, optimum", [
+    # the min-degree greedy takes 4 first and ends one short of the optimum
+    (7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 5), (3, 6)],
+     [2, 3, 4], (0, 1, 5, 6)),
+    # two short, and the first search for a larger set returns only 4 vertices
+    (10, [(0, 2), (0, 4), (0, 6), (1, 2), (1, 4), (1, 7), (1, 8), (1, 9), (2, 5), (3, 5),
+          (3, 6), (3, 7), (3, 8), (4, 5), (5, 6), (5, 7), (5, 8), (6, 9), (7, 9), (8, 9)],
+     [0, 1, 3], (2, 4, 6, 7, 8)),
+])
+def test_exact_raises_a_greedy_seed_below_the_optimum(n, edges, greedy, optimum):
+    graph = ConflictGraph.from_edges(n, edges)
+    assert _greedy_min_degree(graph) == greedy
+    assert exact_max_is(graph)[0] == optimum
+    assert naive_max_independent_sets(n, graph.edges()) == (len(optimum), [optimum])
+
+
 def _interleaved_components(seed: int) -> ConflictGraph:
     """A spanning path plus random chords on each of 2-4 shuffled label blocks."""
     rng = random.Random(seed)
@@ -262,13 +278,13 @@ def test_exact_solver_is_dimension_agnostic():
 
 def test_fpt_pentagon():
     found = fpt_2_multipacking(pentagon_five(), 1)
-    assert found is not None and found.size == 1
-    assert fpt_2_multipacking(pentagon_five(), 2) is None
+    assert found.size == 1 and len(found.indices) == 1
+    miss = fpt_2_multipacking(pentagon_five(), 2)
+    assert miss.size == 0 and miss.indices == ()
 
 
 def test_fpt_quad():
     found = fpt_2_multipacking(QUAD, 2)
-    assert found is not None
     assert found.size == 2
     table = build_neighbor_table(QUAD)
     assert is_r_multipacking(QUAD, table, found.indices, 2)[0]
@@ -284,6 +300,18 @@ def test_fpt_agrees_with_exact_for_every_k():
             witness, nodes = fpt_find_in_graph(graph, k)
             assert (witness is not None) == (k <= optimum)
             assert nodes <= 18**k
+
+
+def test_fpt_witnesses_are_pinned():
+    # the criterion 07 queries; (witness, nodes) of every k <= optimum + 1
+    results = []
+    for i in range(100):
+        pts = random_point_set(6 + i % 35, dim=2, seed=50_000 + i)
+        graph = build_conflict_graph(pts)
+        optimum = len(exact_max_is(graph)[0])
+        results += [fpt_find_in_graph(graph, k) for k in range(1, optimum + 2)]
+    digest = hashlib.sha1(repr(results).encode()).hexdigest()
+    assert digest == "f3bc760195836b36e2dc172658b81665be7fb461"
 
 
 def test_fpt_rejects_bad_k():
@@ -408,6 +436,15 @@ def test_local_search_matches_reference(graph, data):
     single = data.draw(st.integers(0, graph.n - 1), label="single")
     for start in ([], [single], sorted(maximal), _greedy_min_degree(graph)):
         assert _local_search(graph, list(start)) == reference_local_search(graph, list(start))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_generic_graphs())
+def test_exact_is_matches_naive_property(graph):
+    witness, _ = exact_max_is(graph)
+    best_size, best_sets = naive_max_independent_sets(graph.n, graph.edges())
+    assert len(witness) == best_size
+    assert witness == min(best_sets)
 
 
 def test_degree_audit_examples():
