@@ -210,8 +210,14 @@ _BENCH_HEADER = [
 ]
 
 
+_BENCH_TRIALS = {"random1d": 100, "random2d": 50, "scan6": 1000}
+
+
 def cmd_bench(args) -> int:
     family = args.family
+    trials = args.trials if args.trials is not None else _BENCH_TRIALS.get(family, 1)
+    if trials < 1:
+        raise CliError(EXIT_PARSE, "input", f"--trials must be >= 1, got {trials}")
     rows: list[list] = []
     worst_ratio = 0.0
     summary = ""
@@ -222,7 +228,6 @@ def cmd_bench(args) -> int:
     if family == "random1d":
         n_min = args.n_min if args.n_min is not None else 2
         n_max = args.n_max if args.n_max is not None else 12
-        trials = args.trials if args.trials is not None else 100
         if not 2 <= n_min <= n_max:
             raise CliError(EXIT_PARSE, "input", "need 2 <= n-min <= n-max")
         if n_max > 16:
@@ -249,7 +254,6 @@ def cmd_bench(args) -> int:
     elif family == "random2d":
         n_min = args.n_min if args.n_min is not None else 10
         n_max = args.n_max if args.n_max is not None else 60
-        trials = args.trials if args.trials is not None else 50
         if not 3 <= n_min <= n_max:
             raise CliError(EXIT_PARSE, "input", "need 3 <= n-min <= n-max")
         for t in range(trials):
@@ -274,7 +278,6 @@ def cmd_bench(args) -> int:
             ])
         summary = f"bench random2d: trials={trials} worst_ratio={worst_ratio:.6f}"
     elif family == "scan6":
-        trials = args.trials if args.trials is not None else 1000
         started = time.perf_counter()
         scan = scan_six_point_sets(trials, seed=args.seed)
         total_ms = (time.perf_counter() - started) * 1000.0

@@ -58,7 +58,15 @@ def _normalize(value: Coord) -> Coord:
 
 
 def parse_coordinate(text: str) -> Coord:
-    """Parse a decimal ('-3.25') or rational ('7/3') coordinate exactly."""
+    """Parse a decimal ('-3.25') or rational ('7/3') coordinate exactly.
+
+    Plain integers skip `Fraction`: every token `int` accepts, `Fraction`
+    accepts too, with the same value.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
     try:
         return _normalize(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
@@ -86,7 +94,13 @@ def squared_distance(a: Sequence[Coord], b: Sequence[Coord]) -> Coord:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Immutable set of distinct points, all of the same dimension (1 or 2)."""
+    """Immutable set of distinct points, all of the same dimension (1 or 2).
+
+    `nearest_profile` keeps what it ranks on the set itself, in a private
+    attribute that is not a field (so `==`, `hash` and `repr` ignore it):
+    the exact integer coordinates and the widest neighbor prefix asked for
+    so far.  It lives exactly as long as the set.
+    """
 
     points: tuple[Point, ...]
     dim: int
@@ -210,6 +224,25 @@ def _integer_coords(pts: PointSet) -> tuple[np.ndarray, int]:
     return np.array([[c - lo for c in p] for p in coords], dtype=dtype), span
 
 
+class _Ranking:
+    """What ranking a PointSet leaves on it: see `nearest_profile`."""
+
+    __slots__ = ("coords", "order", "first_tie")
+
+    def __init__(self, coords: tuple[np.ndarray, int]):
+        self.coords = coords
+        self.order: np.ndarray | None = None  # n x keep neighbor indices
+        self.first_tie: np.ndarray | None = None  # per row; keep - 1 when untied
+
+
+def _ranking(pts: PointSet) -> _Ranking:
+    ranking = pts.__dict__.get("_ranking")
+    if ranking is None:
+        ranking = _Ranking(_integer_coords(pts))
+        object.__setattr__(pts, "_ranking", ranking)  # frozen, but not a field
+    return ranking
+
+
 def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort each row's candidates (ascending index order) by exact squared distance."""
     diff = arr[cand] - arr[rows, None, :]
@@ -226,22 +259,38 @@ def _ranked_rows(pts: PointSet, keep: int):
     Row i of a block belongs to point first + i; its columns are candidates
     in ascending squared distance, ties broken by index.  Column 0 is the
     point itself (distance 0) and columns 1..keep are its keep nearest
-    neighbors.  Candidates are all points, or, for large inputs of moderate
-    span, the k-d tree's nominees when a float guard proves they contain
-    every point that can rank within the first keep.
+    neighbors.  Candidates are all points, or:
+    - on a line, the 2*keep+1 places around the point in sorted order, which
+      hold its keep nearest (any point farther along has keep points
+      strictly between);
+    - for large planar inputs of moderate span, the k-d tree's nominees when
+      a float guard proves they contain every point that can rank within
+      the first keep.
     """
     n = pts.n
-    arr, span = _integer_coords(pts)
+    arr, span = _ranking(pts).coords
     everyone = np.arange(n)
+    # rows per block: ~2^20 int64 entries, or ~2^12 Python ints (each ~100 bytes)
+    budget = 1 << 20 if arr.dtype == np.int64 else 1 << 12
+    if pts.dim == 1 and 2 * keep + 1 < n:
+        window = 2 * keep + 1
+        by_x = np.argsort(arr[:, 0], kind="stable")
+        place = np.empty(n, dtype=np.intp)
+        place[by_x] = everyone
+        chunk = max(1, budget // window)
+        for first in range(0, n, chunk):
+            rows = everyone[first : first + chunk]
+            start = np.clip(place[rows] - keep, 0, n - window)
+            cand = np.sort(by_x[start[:, None] + np.arange(window)], axis=1)
+            yield first, *_exact_sort(arr, rows, cand)
+        return
     query_k = keep + 6  # self, the kept prefix, and slack for the guard
     nominees = None
-    if n >= _TREE_MIN_N and span <= _TREE_SPAN_LIMIT and query_k < n:
+    if pts.dim == 2 and n >= _TREE_MIN_N and span <= _TREE_SPAN_LIMIT and query_k < n:
         from scipy.spatial import cKDTree  # imported here: only large inputs need it
 
         flt = arr.astype(np.float64)
         nominees = np.sort(cKDTree(flt).query(flt, k=query_k)[1], axis=1)
-    # rows per block: ~2^20 int64 entries, or ~2^12 Python ints (each ~100 bytes)
-    budget = 1 << 20 if arr.dtype == np.int64 else 1 << 12
     chunk = max(1, budget // (n if nominees is None else query_k))
     for first in range(0, n, chunk):
         rows = everyone[first : first + chunk]
@@ -266,6 +315,12 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     GeneralPositionError for the smallest such point and the two smallest
     indices of its first tie, so the returned identities never depend on
     arbitrary ordering.  Every input is ranked on exact integers.
+
+    The ranking is kept on `pts` for its lifetime: its integer coordinates
+    and the widest prefix ranked so far (neighbor indices and each row's
+    first tied column; no distances).  A request no wider than that prefix
+    slices it, and a wider one re-ranks and replaces it.  Ties are checked
+    per request, within the requested width only.
     """
     if pts.n < 2:
         raise ValueError("need at least 2 points")
@@ -273,14 +328,28 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
         raise ValueError("k must be >= 1")
     keep = min(k + 1, pts.n - 1)
     width = min(k, pts.n - 1)
+    ranking = _ranking(pts)
+    if ranking.order is None or ranking.order.shape[1] < keep:
+        dtype = np.min_scalar_type(pts.n - 1)
+        order = np.empty((pts.n, keep), dtype=dtype)
+        first_tie = np.empty(pts.n, dtype=dtype)
+        for first, dist, idx in _ranked_rows(pts, keep):
+            prefix = dist[:, 1 : keep + 1]
+            # a closing True column makes argmax read keep - 1 on untied rows
+            tied = np.ones((len(prefix), keep), dtype=bool)
+            tied[:, :-1] = prefix[:, :-1] == prefix[:, 1:]
+            first_tie[first : first + len(prefix)] = tied.argmax(axis=1)
+            order[first : first + len(prefix)] = idx[:, 1 : keep + 1]
+        ranking.order, ranking.first_tie = order, first_tie
+    tied_rows = np.flatnonzero(ranking.first_tie < keep - 1)
+    if tied_rows.size:
+        row = int(tied_rows[0])
+        col = int(ranking.first_tie[row])
+        raise GeneralPositionError((row, int(ranking.order[row, col]), int(ranking.order[row, col + 1])))
     profile: list[tuple[int, ...]] = []
-    for first, dist, idx in _ranked_rows(pts, keep):
-        prefix = dist[:, 1 : keep + 1]
-        rows, cols = np.nonzero(prefix[:, :-1] == prefix[:, 1:])
-        if rows.size:
-            row, col = rows[0], cols[0]
-            raise GeneralPositionError((first + int(row), int(idx[row, col + 1]), int(idx[row, col + 2])))
-        profile.extend(map(tuple, idx[:, 1 : width + 1].tolist()))
+    step = max(1, (1 << 16) // width)  # rows per tolist: no n x width list of lists at once
+    for first in range(0, pts.n, step):
+        profile.extend(map(tuple, ranking.order[first : first + step, :width].tolist()))
     return profile
 
 

@@ -317,6 +317,17 @@ def test_bench_rejects_oversized_oracle_range(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("family", ["random1d", "random2d", "scan6"])
+def test_bench_rejects_nonpositive_trials(tmp_path, capsys, family):
+    report = tmp_path / "x.csv"
+    for trials in ("0", "-3"):
+        code, _, err = run(capsys, "bench", "--family", family, "--trials", trials,
+                           "--report", str(report))
+        assert code == 2
+        assert json.loads(err)["kind"] == "input"
+    assert not report.exists()
+
+
 def test_render_writes_svg(pentagon, tmp_path, capsys):
     witness = tmp_path / "w.json"
     witness.write_text('{"indices": [2], "r": 4}')

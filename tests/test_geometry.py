@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -9,20 +10,28 @@ from hypothesis import strategies as st
 from helpers import pts1d, pts2d, reference_prefix, reference_ties
 from multipack import (
     GeneralPositionError,
+    NeighborTable,
     ParseError,
     PointSet,
     assert_general_position,
     assert_global_distinct_distances,
+    build_conflict_graph,
     build_neighbor_table,
+    greedy_2_multipacking,
+    is_r_multipacking,
     load_points,
     load_points_csv,
     load_points_json,
+    max_1_multipacking,
+    max_degree_audit,
     perturb,
     save_points_csv,
     save_points_json,
     squared_distance,
 )
+from multipack import geometry
 from multipack.geometry import (
+    _normalize,
     format_coordinate,
     nearest_profile,
     parse_coordinate,
@@ -73,6 +82,45 @@ def test_parse_coordinate(text, value):
 def test_parse_coordinate_rejects_garbage():
     with pytest.raises(ParseError):
         parse_coordinate("1.2.3")
+
+
+def _fraction_outcome(token):
+    try:
+        return _normalize(Fraction(token.strip()))
+    except (ValueError, ZeroDivisionError):
+        return ParseError
+
+
+def _parse_outcome(token):
+    try:
+        return parse_coordinate(token)
+    except ParseError:
+        return ParseError
+
+
+def _assert_parses_like_fraction(token):
+    got, expected = _parse_outcome(token), _fraction_outcome(token)
+    assert got == expected and type(got) is type(expected), repr(token)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "0", "-0", "+5", "-5", "007", "-007", "+007", "1_000", "-1_000", "_1", "1_", "1__0", "+_1",
+        "- 5", "\xa05", "5\n", " 42 ", "\u20037\u2003", "\x1c5\x1f", "\u0663", "\uff11\uff12",
+        "\u0661\u0662/\u0663", "1e3", "0x10", "0b1", "", " ", "1.5", "7/3", "1/0", "2/4",
+        "5" * 5000, "-" + "9" * 5000, "3" * 4300,
+    ],
+    ids=lambda token: repr(token)[:16],
+)
+def test_parse_coordinate_matches_fraction(token):
+    _assert_parses_like_fraction(token)
+
+
+@settings(max_examples=500, deadline=None)
+@given(token=st.one_of(st.text(), st.text(alphabet="0123456789_+-/.eE \n\t\xa0\u0663\uff12", max_size=10)))
+def test_parse_coordinate_matches_fraction_on_any_token(token):
+    _assert_parses_like_fraction(token)
 
 
 def test_format_coordinate_round_trips():
@@ -190,7 +238,7 @@ def test_nearest_profile_matches_reference():
     cases = {
         "all points are candidates": random_point_set(300, dim=2, seed=2, grid=100_000),
         "k-d tree nominees": random_point_set(600, dim=2, seed=2, grid=360_000),
-        "k-d tree in 1D": random_point_set(700, dim=1, seed=3, grid=10**8),
+        "sorted window on a line": random_point_set(700, dim=1, seed=3, grid=10**8),
         "rows failing the float guard": rosettes(50, 11, seed=1),
     }
     for label, pts in cases.items():
@@ -224,6 +272,62 @@ def test_nearest_profile_property(points, k):
             nearest_profile(pts, k)
         assert info.value.triple == triple
     assert assert_general_position(pts) == reference_ties(pts)
+
+
+def _profile_outcome(pts, k):
+    try:
+        return nearest_profile(pts, k), None
+    except GeneralPositionError as exc:
+        return None, exc.triple
+
+
+_fraction_line = st.lists(st.tuples(_fraction), min_size=2, max_size=10, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.one_of(_grid_points, _line_points, _fraction_points, _fraction_line, _tiny_points),
+    ks=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+)
+def test_nearest_profile_cache_property(points, ks):
+    """One shared set answers every width as a fresh copy and the reference do."""
+    shared = PointSet.of(points)
+    for k in ks:
+        expected = reference_prefix(shared, k)
+        assert _profile_outcome(shared, k) == expected, k
+        assert _profile_outcome(PointSet(points=shared.points, dim=shared.dim), k) == expected, k
+
+
+def test_plane_op_ranks_at_most_twice(tmp_path, monkeypatch):
+    """The benchmark's planar op sequence ranks its set once per widening."""
+    path = tmp_path / "plane.csv"
+    save_points_csv(random_point_set(600, dim=2, seed=3), path)  # n >= 512: k-d tree path
+    calls = []
+    ranked_rows = geometry._ranked_rows
+
+    def counted(pts, keep):
+        calls.append(keep)
+        return ranked_rows(pts, keep)
+
+    monkeypatch.setattr(geometry, "_ranked_rows", counted)
+    pts = load_points(path)
+    nng = max_1_multipacking(pts)
+    assert is_r_multipacking(pts, NeighborTable(order=tuple(nearest_profile(pts, 1))), nng.indices, 1)[0]
+    greedy = greedy_2_multipacking(pts)
+    assert is_r_multipacking(pts, NeighborTable(order=tuple(nearest_profile(pts, 2))), greedy.indices, 2)[0]
+    assert max_degree_audit(pts, build_conflict_graph(pts)).within_bound
+    assert len(calls) <= 2
+    assert calls == [2, 3]
+
+
+def test_cached_ranking_leaves_point_set_identity():
+    pts = pts2d((0, 0), (1, 0), (3, 0), (7, 1), (4, 9))
+    fresh = pts2d((0, 0), (1, 0), (3, 0), (7, 1), (4, 9))
+    before = repr(pts), hash(pts)
+    nearest_profile(pts, 2)
+    assert pts == fresh and fresh == pts
+    assert (repr(pts), hash(pts)) == before == (repr(fresh), hash(fresh))
+    assert [f.name for f in fields(pts)] == ["points", "dim"]
 
 
 def test_nearest_profile_matches_full_table():
