@@ -159,8 +159,11 @@ def cmd_check(args) -> int:
     for i in members:
         if not 0 <= i < pts.n:
             raise CliError(EXIT_PARSE, "input", f"witness index {i} out of range for n={pts.n}")
-    table = NeighborTable(order=tuple(nearest_profile(pts, r)))
-    ok, violation = is_r_multipacking(pts, table, members, r)
+    if pts.n == 1:  # every ball around the lone point holds at most itself
+        ok, violation = True, None
+    else:
+        table = NeighborTable(order=tuple(nearest_profile(pts, r)))
+        ok, violation = is_r_multipacking(pts, table, members, r)
     if ok:
         _emit({"valid": True, "r": r, "size": len(members)}, None)
         _note(f"check: valid ({len(members)} members, r={r})")

@@ -25,12 +25,6 @@ import numpy as np
 Coord = Union[int, Fraction]
 Point = tuple  # tuple[Coord, ...], dimension 1 or 2
 
-# tree-accelerated path: float64 squared distances on a span this small are
-# off by at most ~32, so exact re-ranking with a wide margin stays rigorous
-_TREE_MIN_N = 512
-_TREE_SPAN_LIMIT = 2**28
-_TREE_MARGIN = 256
-
 
 class GeneralPositionError(ValueError):
     """Two neighbors of some point are equidistant from it."""
@@ -213,14 +207,15 @@ def _integer_coords(pts: PointSet) -> tuple[np.ndarray, int]:
 
     Both maps multiply every squared distance by one positive constant, so
     neighbor orderings and ties are unchanged.  Returns the array and its
-    span; the array is int64 when every squared distance fits, else Python
-    ints (dtype object), which run the same numpy code exactly.
+    span; the array is int64 when every distance `_exact_sort` ranks by
+    fits (|dx| on a line, dx^2 + dy^2 in the plane), else Python ints (dtype
+    object), which run the same numpy code exactly.
     """
     scale = math.lcm(*{c.denominator for p in pts for c in p})
     coords = [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
     lo = min(min(p) for p in coords)
     span = max(max(p) for p in coords) - lo
-    dtype = np.int64 if 2 * span * span < 2**62 else object
+    dtype = np.int64 if (span if pts.dim == 1 else 2 * span * span) < 2**62 else object
     return np.array([[c - lo for c in p] for p in coords], dtype=dtype), span
 
 
@@ -244,10 +239,17 @@ def _ranking(pts: PointSet) -> _Ranking:
 
 
 def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort each row's candidates (ascending index order) by exact squared distance."""
+    """Sort each row's candidates (ascending index order) by exact distance.
+
+    A line ranks by |dx|, which orders and ties exactly as dx^2 does; the
+    plane ranks by squared distance.
+    """
     diff = arr[cand] - arr[rows, None, :]
-    diff *= diff
-    dist = diff.sum(axis=2)
+    if arr.shape[1] == 1:
+        dist = np.abs(diff[:, :, 0])
+    else:
+        diff *= diff
+        dist = diff.sum(axis=2)
     del diff
     order = np.argsort(dist, axis=1, kind="stable")  # stable: ties stay in index order
     return np.take_along_axis(dist, order, axis=1), np.take_along_axis(cand, order, axis=1)
@@ -257,15 +259,15 @@ def _ranked_rows(pts: PointSet, keep: int):
     """Yield (first, dist, idx) blocks of exactly ranked neighbor rows.
 
     Row i of a block belongs to point first + i; its columns are candidates
-    in ascending squared distance, ties broken by index.  Column 0 is the
-    point itself (distance 0) and columns 1..keep are its keep nearest
-    neighbors.  Candidates are all points, or:
+    in ascending distance, ties broken by index.  Column 0 is the point
+    itself (distance 0) and columns 1..keep are its keep nearest neighbors.
+    Candidates are all points, or:
     - on a line, the 2*keep+1 places around the point in sorted order, which
       hold its keep nearest (any point farther along has keep points
       strictly between);
-    - for large planar inputs of moderate span, the k-d tree's nominees when
-      a float guard proves they contain every point that can rank within
-      the first keep.
+    - in the plane, when float64 holds every coordinate exactly (span
+      < 2^53), the k-d tree's nominees, on each row where a float guard
+      proves they contain every point that can rank within the first keep.
     """
     n = pts.n
     arr, span = _ranking(pts).coords
@@ -286,8 +288,8 @@ def _ranked_rows(pts: PointSet, keep: int):
         return
     query_k = keep + 6  # self, the kept prefix, and slack for the guard
     nominees = None
-    if pts.dim == 2 and n >= _TREE_MIN_N and span <= _TREE_SPAN_LIMIT and query_k < n:
-        from scipy.spatial import cKDTree  # imported here: only large inputs need it
+    if pts.dim == 2 and span < 2**53 and query_k < n:
+        from scipy.spatial import cKDTree  # imported on first use: it takes ~0.4 s to load
 
         flt = arr.astype(np.float64)
         nominees = np.sort(cKDTree(flt).query(flt, k=query_k)[1], axis=1)
@@ -298,10 +300,15 @@ def _ranked_rows(pts: PointSet, keep: int):
             yield first, *_exact_sort(arr, rows, np.broadcast_to(everyone, (len(rows), n)))
             continue
         dist, idx = _exact_sort(arr, rows, nominees[rows])
-        # float64 distances on this span are off by at most ~32: a farthest
-        # nominee a full margin past rank keep proves no other point ranks
-        # within it; rows without that proof are re-ranked over all points
-        bad = dist[:, -1] <= dist[:, keep] + _TREE_MARGIN
+        # Float error (u = 2^-53): coordinates and their differences are exact
+        # integers below 2^53, so each cKDTree squared distance is within 3u of
+        # the exact D, and its cell bounds (one rounded side distance added per
+        # level of a median-split tree, depth < 64) within 192u.  So every point
+        # it left out has D >= (1 - 2^-44) * dist[:, -1], and a farthest nominee
+        # past (1 + 2^-40) * dist[:, keep] (in integers; all errors are relative
+        # and D >= 1) proves no other point ranks within keep or ties it.  Rows
+        # without that proof are re-ranked over all points.
+        bad = dist[:, -1] - dist[:, keep] <= dist[:, keep] >> 40
         if bad.any():
             full = _exact_sort(arr, rows[bad], np.broadcast_to(everyone, (int(bad.sum()), n)))
             dist[bad], idx[bad] = (block[:, :query_k] for block in full)
@@ -440,6 +447,8 @@ def load_points_json(path: str | Path) -> PointSet:
     dim = data["dim"]
     if dim not in (1, 2):
         raise ParseError(f"{path}: dim must be 1 or 2, got {dim!r}")
+    if not isinstance(data["points"], list):
+        raise ParseError(f"{path}: 'points' must be a list, got {data['points']!r}")
     pts = []
     for i, entry in enumerate(data["points"]):
         if not isinstance(entry, list) or len(entry) != dim:

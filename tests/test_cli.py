@@ -354,3 +354,104 @@ def test_upper_family_csv_loads_back(tmp_path, capsys):
     from multipack import load_points
 
     assert load_points(out).points == upper_family_1d(9).points
+
+
+@pytest.mark.parametrize("points", ["null", "5"])
+def test_json_points_that_are_not_a_list_exit_2(tmp_path, capsys, points):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"dim": 2, "points": {points}}}')
+    witness = tmp_path / "witness.json"
+    witness.write_text('{"indices": [0], "r": 1}')
+    for extra in ((), ("--set", str(witness))):
+        command = "check" if extra else "solve"
+        code, out, err = run(capsys, command, "--input", str(path), *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "parse"
+
+
+@pytest.mark.parametrize("text", ["x\n5\n", "x,y\n5,7\n"], ids=["1d", "2d"])
+def test_one_point_solve_then_check(tmp_path, capsys, text):
+    points = tmp_path / "one.csv"
+    points.write_text(text)
+    witness = tmp_path / "witness.json"
+    code, _, _ = run(capsys, "solve", "--input", str(points), "--out", str(witness))
+    assert code == 0
+    assert json.loads(witness.read_text())["indices"] == [0]
+    code, out, _ = run(capsys, "check", "--input", str(points), "--set", str(witness))
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "r": 1, "size": 1}
+
+
+_ODD_INPUTS = {
+    "null.json": "null",
+    "list.json": "[]",
+    "number.json": "5",
+    "no_dim.json": '{"points": [[1, 2]]}',
+    "points_null.json": '{"dim": 2, "points": null}',
+    "points_number.json": '{"dim": 2, "points": 5}',
+    "points_text.json": '{"dim": 2, "points": "ab"}',
+    "points_object.json": '{"dim": 2, "points": {"a": 1}}',
+    "no_points.json": '{"dim": 2, "points": []}',
+    "short_point.json": '{"dim": 2, "points": [[1]]}',
+    "duplicate.json": '{"dim": 2, "points": [[1, 2], [1, 2]]}',
+    "dim3.json": '{"dim": 3, "points": [[1, 2, 3]]}',
+    "nan.json": '{"dim": 1, "points": [[NaN], [1]]}',
+    "word.json": '{"dim": 1, "points": [["x"], [1]]}',
+    "one_1d.csv": "x\n5\n",
+    "one_2d.csv": "x,y\n5,7\n",
+    "two_1d.csv": "x\n0\n3\n",
+    "two_2d.csv": "x,y\n0,0\n3,4\n",
+    "tie_grid.csv": "x,y\n" + "".join(f"{x},{y}\n" for x in range(4) for y in range(4)),
+}
+_ODD_WITNESSES = [
+    '{"indices": [0], "r": 1}',
+    '{"indices": [0, 1], "r": 1}',
+    "null",
+    '{"indices": null, "r": 1}',
+    '{"indices": [0.5], "r": 1}',
+]
+
+
+def test_cli_never_shows_a_traceback(tmp_path, capsys):
+    """Every subcommand on odd inputs exits 0, 2, 3 or 4; exit 1 only marks an invalid witness."""
+    inputs = []
+    for name, text in _ODD_INPUTS.items():
+        inputs.append(tmp_path / name)
+        inputs[-1].write_text(text)
+    inputs.append(tmp_path / "span40.csv")
+    save_points_csv(random_point_set(40, seed=40, grid=2**40), inputs[-1])
+    witnesses = []
+    for i, text in enumerate(_ODD_WITNESSES):
+        witnesses.append(tmp_path / f"witness{i}.json")
+        witnesses[-1].write_text(text)
+    svg = str(tmp_path / "out.svg")
+    calls = [
+        ("gen", "--family", family, "--n", n, "--dim", dim, "--out", str(tmp_path / "gen.csv"))
+        for family in ("lower1d", "upper1d", "random") for n in ("-1", "0", "1", "2") for dim in ("1", "2")
+    ]
+    calls += [
+        ("bench", "--family", family, "--n-min", lo, "--n-max", "3", "--trials", "2",
+         "--report", str(tmp_path / "bench.csv"))
+        for family in ("random1d", "random2d") for lo in ("1", "2", "3")
+    ]
+    for i, path in enumerate(map(str, inputs)):
+        solved = tmp_path / f"solved{i}.json"
+        calls += [("solve", "--input", path, "--r", r) for r in ("full", "1", "2")]
+        calls += [
+            ("solve", "--input", path, "--r", "2", "--method", method, "--k", "1")
+            for method in ("greedy1d", "nng", "exact", "fpt", "greedy", "bruteforce")
+        ]
+        calls += [("solve", "--input", path, "--out", str(solved))]
+        calls += [("check", "--input", path, "--set", str(w)) for w in (*witnesses, solved)]
+        calls += [
+            ("audit-degree", "--input", path),
+            ("render", "--input", path, "--out", svg),
+            ("render", "--input", path, "--set", str(witnesses[0]), "--circles", "--out", svg),
+        ]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert argv[0] == "check" and json.loads(out)["valid"] is False, argv
+        else:
+            assert code in (0, 2, 3, 4), argv

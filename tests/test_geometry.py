@@ -3,6 +3,7 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,37 +216,87 @@ def test_neighbor_table_deterministic():
     assert build_neighbor_table(pts).order == build_neighbor_table(pts).order
 
 
-def rosettes(count, ring, seed):
-    """Far-apart copies of a centre with a tie-free ring of radius ~100 round it.
+GOLOMB = (0, 1, 4, 13, 28, 33, 47, 54, 64, 70, 72)  # every difference is distinct
 
-    The centre's squared distances to its ring all lie within ~300 of each
-    other, so its k-d tree nominees never clear the float margin and the
-    centre is re-ranked over all points.
+
+def rosettes(count):
+    """Far-apart centres, each with eleven points at nearly equal distance.
+
+    A centre's eleven points stand on a vertical line `reach` away, at the
+    Golomb heights, so its squared distances to them are distinct but all
+    within 72^2 < reach^2 / 2^40 of each other: its k-d tree nominees never
+    clear the float guard and the centre is re-ranked over all points.  The
+    line points' own nearest neighbors are far apart in relative terms.
     """
-    rng = random.Random(seed)
+    reach = 80_000_000
     points = []
     for c in range(count):
-        while True:
-            angles = [rng.uniform(0, 2 * math.pi) for _ in range(ring)]
-            rosette = [(0, 0)] + [(round(100 * math.cos(a)), round(100 * math.sin(a))) for a in angles]
-            if len(set(rosette)) == ring + 1 and not reference_ties(pts2d(*rosette)):
-                break
-        points += [(10_000 * c + x, 10_000 * (c % 7) + y) for x, y in rosette]
+        x, y = 3 * reach * (c % 4), 3 * reach * (c // 4)
+        points += [(x, y)] + [(x + reach, y + h) for h in GOLOMB]
     return PointSet.of(points)
 
 
-def test_nearest_profile_matches_reference():
-    cases = {
-        "all points are candidates": random_point_set(300, dim=2, seed=2, grid=100_000),
-        "k-d tree nominees": random_point_set(600, dim=2, seed=2, grid=360_000),
-        "sorted window on a line": random_point_set(700, dim=1, seed=3, grid=10**8),
-        "rows failing the float guard": rosettes(50, 11, seed=1),
+def _all_points_rows(monkeypatch) -> list[int]:
+    """Record the rows each `_exact_sort` call ranks over every point (the fallback)."""
+    counts = []
+    exact_sort = geometry._exact_sort
+
+    def counting(arr, rows, cand):
+        if cand.shape[1] == len(arr):
+            counts.append(len(rows))
+        return exact_sort(arr, rows, cand)
+
+    monkeypatch.setattr(geometry, "_exact_sort", counting)
+    return counts
+
+
+def test_nearest_profile_matches_reference(monkeypatch):
+    """Every ranking path against plain sorting, and which rows fell back to all points."""
+    cases = {  # label: (points, rows ranked over all points per ranking)
+        "k-d tree at n = 60": (random_point_set(60, dim=2, seed=2), 0),
+        "k-d tree at n = 300": (random_point_set(300, dim=2, seed=2, grid=100_000), 0),
+        "k-d tree at n = 600": (random_point_set(600, dim=2, seed=2, grid=360_000), 0),
+        **{
+            f"k-d tree at span 2^{e}": (random_point_set(600, dim=2, seed=e, grid=2**e, audit="none"), 0)
+            for e in (29, 40, 50)
+        },
+        "all points: query_k >= n": (random_point_set(8, dim=2, seed=2), 8),
+        "all points: span >= 2^53": (random_point_set(40, dim=2, seed=2, grid=2**54, audit="none"), 40),
+        "rows failing the float guard": (rosettes(12), 12),
+        "sorted window on a line": (random_point_set(700, dim=1, seed=3, grid=10**8), 0),
+        **{
+            f"sorted window at span 2^{e}": (random_point_set(300, dim=1, seed=e, grid=2**e, audit="none"), 0)
+            for e in (31, 45, 61, 63)
+        },
     }
-    for label, pts in cases.items():
-        for k in (1, 2, 3):
-            rows, triple = reference_prefix(pts, k)
-            assert triple is None, label
-            assert nearest_profile(pts, k) == rows, (label, k)
+    counts = _all_points_rows(monkeypatch)
+    for label, (pts, fallback) in cases.items():
+        rows, triple = reference_prefix(pts, 3)
+        assert triple is None, label
+        counts.clear()
+        for k in (1, 2, 3):  # each k widens the kept prefix, so each ranks again
+            assert nearest_profile(pts, k) == [row[:k] for row in rows], (label, k)
+        assert sum(counts) == 3 * fallback, label
+
+
+def test_default_planar_draw_ranks_without_fallback(monkeypatch):
+    """A default 20 000-point draw (span ~2^28.6) is ranked by the k-d tree alone."""
+    pts = random_point_set(20_000, seed=1, audit="none")
+    counts = _all_points_rows(monkeypatch)
+    first = nearest_profile(pts, 1)
+    assert [row[:1] for row in nearest_profile(pts, 2)] == first
+    assert counts == []
+
+
+def test_line_coordinates_stay_int64_below_span_2_62():
+    """A line ranks by |dx|, so int64 holds it while its span, not 2 * span^2, fits."""
+    def dtype(pts):
+        return geometry._integer_coords(pts)[0].dtype
+
+    assert dtype(pts1d(0, 5, 2**62 - 1)) == np.int64
+    assert dtype(pts1d(0, 5, 2**62)) == object
+    assert dtype(pts2d((0, 0), (0, 5), (2**30, 0))) == np.int64
+    assert dtype(pts2d((0, 0), (0, 5), (2**31, 0))) == object
 
 
 _grid_points = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=12, unique=True)
@@ -254,12 +305,13 @@ _fraction = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 
 _fraction_points = st.lists(st.tuples(_fraction, _fraction), min_size=2, max_size=10, unique=True)
 _huge = st.integers(-(2**40), 2**40)
 _huge_points = st.lists(st.tuples(_huge, _huge), min_size=2, max_size=10, unique=True)
+_huge_line = st.lists(st.tuples(st.integers(-(2**61), 2**61)), min_size=2, max_size=10, unique=True)
 _tiny_points = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=3, unique=True)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    points=st.one_of(_grid_points, _line_points, _fraction_points, _huge_points, _tiny_points),
+    points=st.one_of(_grid_points, _line_points, _fraction_points, _huge_points, _huge_line, _tiny_points),
     k=st.integers(1, 12),
 )
 def test_nearest_profile_property(points, k):
@@ -301,7 +353,7 @@ def test_nearest_profile_cache_property(points, ks):
 def test_plane_op_ranks_at_most_twice(tmp_path, monkeypatch):
     """The benchmark's planar op sequence ranks its set once per widening."""
     path = tmp_path / "plane.csv"
-    save_points_csv(random_point_set(600, dim=2, seed=3), path)  # n >= 512: k-d tree path
+    save_points_csv(random_point_set(600, dim=2, seed=3), path)
     calls = []
     ranked_rows = geometry._ranked_rows
 
