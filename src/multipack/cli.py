@@ -132,6 +132,8 @@ def cmd_solve(args) -> int:
             raise CliError(EXIT_METHOD, "method", f"fpt solves r=2 only, got r={r}")
         if args.k is None or args.k < 1:
             raise CliError(EXIT_METHOD, "method", "fpt needs --k >= 1")
+        if args.k > n:
+            raise CliError(EXIT_METHOD, "method", f"fpt needs --k <= n={n}, got {args.k}")
         payload = fpt_2_multipacking(pts, args.k, max_nodes=args.budget).to_json_dict()
         if payload["size"] == 0:
             payload = {"found": False, **payload}

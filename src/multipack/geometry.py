@@ -360,13 +360,6 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     return profile
 
 
-def two_nearest(pts: PointSet) -> list[tuple[int, int]]:
-    """First and second neighbor of every point; requires n >= 3."""
-    if pts.n < 3:
-        raise ValueError("need at least 3 points for two neighbors")
-    return nearest_profile(pts, 2)
-
-
 def perturb(pts: PointSet, epsilon: Coord, seed: int, max_retries: int = 32) -> PointSet:
     """Jitter every coordinate by a seed-derived rational in (-epsilon, epsilon).
 
@@ -445,7 +438,7 @@ def load_points_json(path: str | Path) -> PointSet:
     if not isinstance(data, dict) or "dim" not in data or "points" not in data:
         raise ParseError(f"{path}: expected an object with 'dim' and 'points'")
     dim = data["dim"]
-    if dim not in (1, 2):
+    if isinstance(dim, bool) or dim not in (1, 2):
         raise ParseError(f"{path}: dim must be 1 or 2, got {dim!r}")
     if not isinstance(data["points"], list):
         raise ParseError(f"{path}: 'points' must be a list, got {data['points']!r}")

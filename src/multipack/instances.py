@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import PointSet, assert_general_position, load_points_csv, two_nearest
+from .geometry import PointSet, assert_general_position, load_points_csv, nearest_profile
 from .multipacking import multipacking_number
 
 # jitter-search seeds that produced the frozen fixtures
@@ -50,7 +50,7 @@ def _convex_position(points: list[tuple[int, int]]) -> bool:
 
 def _cyclic_neighbor_property(pts: PointSet) -> bool:
     n = pts.n
-    pairs = two_nearest(pts)
+    pairs = nearest_profile(pts, 2)
     return all(set(pairs[i]) == {(i - 1) % n, (i + 1) % n} for i in range(n))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable
 
-from .geometry import NeighborTable, PointSet, nearest_profile, two_nearest
+from .geometry import NeighborTable, PointSet, nearest_profile
 from .multipacking import BudgetExceededError, SolveReport
 
 DEGREE_BOUND = 17
@@ -31,7 +31,6 @@ class ConflictGraph:
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    kind: str = "generic"  # "nng" | "conflict" | "generic"
 
     def __post_init__(self):
         if self.n < 1 or len(self.adj) != self.n:
@@ -46,18 +45,16 @@ class ConflictGraph:
                     raise ValueError(f"loop at {v}")
                 if v not in self.adj[u]:
                     raise ValueError(f"edge {v}-{u} is not symmetric")
-        if self.kind == "nng":
-            _assert_forest(self.n, self.edges())
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], kind: str = "generic") -> "ConflictGraph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ConflictGraph":
         rows: list[set[int]] = [set() for _ in range(n)]
         for a, b in edges:
             if a == b:
                 raise ValueError(f"loop at {a}")
             rows[a].add(b)
             rows[b].add(a)
-        return cls(n=n, adj=tuple(tuple(sorted(r)) for r in rows), kind=kind)
+        return cls(n=n, adj=tuple(tuple(sorted(r)) for r in rows))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, u) for v in range(self.n) for u in self.adj[v] if v < u]
@@ -71,7 +68,7 @@ def edge_list_text(graph: ConflictGraph) -> str:
     return "".join(f"{u} {v}\n" for u, v in graph.edges())
 
 
-def parse_edge_list(text: str, n: int | None = None, kind: str = "generic") -> ConflictGraph:
+def parse_edge_list(text: str, n: int | None = None) -> ConflictGraph:
     edges = []
     top = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -87,23 +84,7 @@ def parse_edge_list(text: str, n: int | None = None, kind: str = "generic") -> C
     size = n if n is not None else top + 1
     if size < 1:
         raise ValueError("edge list is empty and no n was given")
-    return ConflictGraph.from_edges(size, edges, kind=kind)
-
-
-def _assert_forest(n: int, edges: Iterable[tuple[int, int]]) -> None:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise NotAForestError(f"edge {a}-{b} closes a cycle")
-        parent[ra] = rb
+    return ConflictGraph.from_edges(size, edges)
 
 
 def build_nearest_neighbor_graph(pts: PointSet, table: NeighborTable | None = None) -> ConflictGraph:
@@ -115,7 +96,7 @@ def build_nearest_neighbor_graph(pts: PointSet, table: NeighborTable | None = No
         nearest = [table.order[v][0] for v in range(n)]
     else:
         nearest = [row[0] for row in nearest_profile(pts, 1)]
-    return ConflictGraph.from_edges(n, enumerate(nearest), kind="nng")
+    return ConflictGraph.from_edges(n, enumerate(nearest))
 
 
 def build_conflict_graph(pts: PointSet, table: NeighborTable | None = None) -> ConflictGraph:
@@ -127,13 +108,13 @@ def build_conflict_graph(pts: PointSet, table: NeighborTable | None = None) -> C
     if table is not None:
         pairs = [(table.order[v][0], table.order[v][1]) for v in range(n)]
     else:
-        pairs = two_nearest(pts)
+        pairs = nearest_profile(pts, 2)
     rows: list[set[int]] = [set() for _ in range(n)]
     for v, (a, b) in enumerate(pairs):
         rows[v].update((a, b))
         rows[a].update((v, b))
         rows[b].update((v, a))
-    return ConflictGraph(n=n, adj=tuple(tuple(sorted(r)) for r in rows), kind="conflict")
+    return ConflictGraph(n=n, adj=tuple(tuple(sorted(r)) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -143,49 +124,31 @@ def build_conflict_graph(pts: PointSet, table: NeighborTable | None = None) -> C
 def forest_max_independent_set(graph: ConflictGraph) -> tuple[int, ...]:
     """Maximum independent set of a forest by two-state DP.
 
-    Deterministic witness: components are rooted at their smallest index,
-    children are visited in ascending order, and ties between keeping and
-    dropping a vertex are broken toward dropping it.  "nng" graphs were
-    checked to be forests at construction; any other graph is checked here.
+    A simple graph is a forest exactly when it has n - c edges for c
+    components; any other graph raises NotAForestError.  Each component is
+    rooted at its smallest index (`_components`).  Sums come bottom-up over
+    the reversed BFS order; then, top-down, a vertex is kept when its parent
+    is not and keeping it beats dropping it, so ties drop the vertex.  The
+    witness does not depend on the order of children.
     """
     n = graph.n
-    adj = graph.adj
-    if graph.kind != "nng":
-        _assert_forest(n, graph.edges())
-    visited = [False] * n
-    take: list[int] = []
-    for root in range(n):
-        if visited[root]:
-            continue
-        # iterative DFS: preorder plus parent/children bookkeeping
-        order = []
-        parent = {root: -1}
-        children: dict[int, list[int]] = {}
-        stack = [root]
-        visited[root] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            kids = [u for u in adj[v] if u != parent[v]]
-            children[v] = kids
-            for u in reversed(kids):
-                visited[u] = True
-                parent[u] = v
-                stack.append(u)
-        in_sz = {}
-        out_sz = {}
-        for v in reversed(order):
-            in_sz[v] = 1 + sum(out_sz[c] for c in children[v])
-            out_sz[v] = sum(max(in_sz[c], out_sz[c]) for c in children[v])
-        walk = [(root, False)]
-        while walk:
-            v, forced_out = walk.pop()
-            keep = not forced_out and in_sz[v] > out_sz[v]
-            if keep:
-                take.append(v)
-            for c in children[v]:
-                walk.append((c, keep))
-    return tuple(sorted(take))
+    comps, parent = _components(graph.adj)
+    edges = sum(map(len, graph.adj)) // 2
+    if edges != n - len(comps):
+        raise NotAForestError(f"{edges} edges on {n} vertices in {len(comps)} components is not a forest")
+    order = [v for comp in comps for v in comp]
+    in_sz = [1] * n
+    out_sz = [0] * n
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            in_sz[p] += out_sz[v]
+            out_sz[p] += max(in_sz[v], out_sz[v])
+    kept = bytearray(n)
+    for v in order:
+        p = parent[v]
+        kept[v] = (p < 0 or not kept[p]) and in_sz[v] > out_sz[v]
+    return tuple(v for v in range(n) if kept[v])
 
 
 def max_1_multipacking(pts: PointSet) -> SolveReport:
@@ -194,7 +157,7 @@ def max_1_multipacking(pts: PointSet) -> SolveReport:
         return SolveReport(size=1, indices=(0,), r=1, method="nng", stats={"components": 1})
     graph = build_nearest_neighbor_graph(pts)
     witness = forest_max_independent_set(graph)
-    edges = len(graph.edges())
+    edges = sum(map(len, graph.adj)) // 2
     return SolveReport(
         size=len(witness),
         indices=witness,
@@ -323,23 +286,23 @@ class _Search:
         return None
 
 
-def _components(adj: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Connected components as ascending vertex lists, by smallest vertex."""
-    seen = bytearray(len(adj))
+def _components(adj: tuple[tuple[int, ...], ...]) -> tuple[list[list[int]], list[int]]:
+    """Connected components by smallest vertex, each in BFS order from that
+    vertex, plus every vertex's BFS parent (-1 for a root)."""
+    parent = [-2] * len(adj)  # -2: not reached yet
     comps = []
     for root in range(len(adj)):
-        if seen[root]:
+        if parent[root] != -2:
             continue
-        seen[root] = 1
+        parent[root] = -1
         comp = [root]
         for v in comp:  # the list grows while it is scanned
             for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
+                if parent[u] == -2:
+                    parent[u] = v
                     comp.append(u)
-        comp.sort()
         comps.append(comp)
-    return comps
+    return comps, parent
 
 
 def _first_max_set(search: _Search, known: int) -> int:
@@ -379,7 +342,7 @@ def _first_max_set(search: _Search, known: int) -> int:
 
 def _exact_max_is(graph: ConflictGraph, max_nodes: int | None) -> tuple[tuple[int, ...], dict]:
     """`exact_max_is` plus its stats: nodes, components, largest component."""
-    comps = _components(graph.adj)
+    comps = [sorted(comp) for comp in _components(graph.adj)[0]]
     seed = bytearray(graph.n)
     for v in _greedy_min_degree(graph):
         seed[v] = 1

@@ -168,3 +168,48 @@ def reference_local_search(graph, members):
         if not swapped:
             break
     return members, rounds, improvements
+
+
+def reference_forest_mis(graph):
+    """The forest DP as it was: a dict-based DFS per component.
+
+    Roots each component at its smallest index, visits children in ascending
+    order and breaks keep/drop ties toward dropping.  `graph` must be a
+    forest; the old DP's own forest check is left out.
+    """
+    n = graph.n
+    adj = graph.adj
+    visited = [False] * n
+    take: list[int] = []
+    for root in range(n):
+        if visited[root]:
+            continue
+        # iterative DFS: preorder plus parent/children bookkeeping
+        order = []
+        parent = {root: -1}
+        children: dict[int, list[int]] = {}
+        stack = [root]
+        visited[root] = True
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            kids = [u for u in adj[v] if u != parent[v]]
+            children[v] = kids
+            for u in reversed(kids):
+                visited[u] = True
+                parent[u] = v
+                stack.append(u)
+        in_sz = {}
+        out_sz = {}
+        for v in reversed(order):
+            in_sz[v] = 1 + sum(out_sz[c] for c in children[v])
+            out_sz[v] = sum(max(in_sz[c], out_sz[c]) for c in children[v])
+        walk = [(root, False)]
+        while walk:
+            v, forced_out = walk.pop()
+            keep = not forced_out and in_sz[v] > out_sz[v]
+            if keep:
+                take.append(v)
+            for c in children[v]:
+                walk.append((c, keep))
+    return tuple(sorted(take))

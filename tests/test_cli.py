@@ -369,6 +369,30 @@ def test_json_points_that_are_not_a_list_exit_2(tmp_path, capsys, points):
         assert json.loads(err)["kind"] == "parse"
 
 
+@pytest.mark.parametrize("dim", ["true", "false"])
+def test_json_bool_dim_exits_2(tmp_path, capsys, dim):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"dim": {dim}, "points": [[1], [4], [9]]}}')
+    witness = tmp_path / "witness.json"
+    witness.write_text('{"indices": [0], "r": 1}')
+    for extra in ((), ("--set", str(witness))):
+        command = "check" if extra else "solve"
+        code, out, err = run(capsys, command, "--input", str(path), *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "parse"
+
+
+@pytest.mark.parametrize("k", ["31", "4000"])
+def test_solve_fpt_k_above_n_exits_3(tmp_path, capsys, k):
+    path = tmp_path / "thirty.csv"
+    save_points_csv(random_point_set(30, seed=3), path)
+    code, out, err = run(capsys, "solve", "--input", str(path), "--r", "2", "--method", "fpt", "--k", k)
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "method"
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--r", "2", "--method", "fpt", "--k", "30")
+    assert code == 0 and json.loads(out)["found"] is False
+
+
 @pytest.mark.parametrize("text", ["x\n5\n", "x,y\n5,7\n"], ids=["1d", "2d"])
 def test_one_point_solve_then_check(tmp_path, capsys, text):
     points = tmp_path / "one.csv"
@@ -395,6 +419,7 @@ _ODD_INPUTS = {
     "short_point.json": '{"dim": 2, "points": [[1]]}',
     "duplicate.json": '{"dim": 2, "points": [[1, 2], [1, 2]]}',
     "dim3.json": '{"dim": 3, "points": [[1, 2, 3]]}',
+    "dim_true.json": '{"dim": true, "points": [[1], [4], [9]]}',
     "nan.json": '{"dim": 1, "points": [[NaN], [1]]}',
     "word.json": '{"dim": 1, "points": [["x"], [1]]}',
     "one_1d.csv": "x\n5\n",

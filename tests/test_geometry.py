@@ -36,7 +36,6 @@ from multipack.geometry import (
     format_coordinate,
     nearest_profile,
     parse_coordinate,
-    two_nearest,
 )
 from multipack.instances import random_point_set
 
@@ -388,12 +387,6 @@ def test_nearest_profile_matches_full_table():
     profile = nearest_profile(pts, 3)
     for v in range(pts.n):
         assert profile[v] == table.order[v][:3]
-
-
-def test_two_nearest_matches_table():
-    pts = random_point_set(25, dim=2, seed=4)
-    table = build_neighbor_table(pts)
-    assert two_nearest(pts) == [row[:2] for row in table.order]
 
 
 def test_perturb_preserves_well_separated_order():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_max_independent_sets, pts2d, reference_local_search
+from helpers import naive_max_independent_sets, pts2d, reference_forest_mis, reference_local_search
 from multipack import (
     BudgetExceededError,
     ConflictGraph,
@@ -56,22 +56,19 @@ def test_nng_two_far_mutual_pairs():
 def test_nng_is_always_a_forest():
     for seed in range(25):
         graph = build_nearest_neighbor_graph(random_point_set(20, dim=2, seed=seed))
-        assert graph.kind == "nng"
         assert len(graph.edges()) < graph.n
 
 
 def test_forest_dp_path_and_star():
-    path4 = parse_edge_list("0 1\n1 2\n2 3\n", n=4, kind="nng")
+    path4 = parse_edge_list("0 1\n1 2\n2 3\n", n=4)
     assert len(forest_max_independent_set(path4)) == 2
-    edge = parse_edge_list("0 1\n", n=2, kind="nng")
+    edge = parse_edge_list("0 1\n", n=2)
     assert len(forest_max_independent_set(edge)) == 1
-    star = parse_edge_list("0 1\n0 2\n0 3\n0 4\n0 5\n", n=6, kind="nng")
+    star = parse_edge_list("0 1\n0 2\n0 3\n0 4\n0 5\n", n=6)
     assert forest_max_independent_set(star) == (1, 2, 3, 4, 5)
 
 
 def test_forest_dp_rejects_cycles():
-    with pytest.raises(NotAForestError):
-        parse_edge_list("0 1\n1 2\n0 2\n", n=3, kind="nng")
     triangle = parse_edge_list("0 1\n1 2\n0 2\n", n=3)
     square = ConflictGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
     for graph in (triangle, square, build_conflict_graph(QUAD)):
@@ -79,14 +76,61 @@ def test_forest_dp_rejects_cycles():
             forest_max_independent_set(graph)
 
 
-def test_forest_check_runs_once_per_r1_solve(monkeypatch):
-    from multipack import plane
+@st.composite
+def _forests(draw) -> ConflictGraph:
+    """Random forests on shuffled labels: random trees, stars, long paths and isolated vertices."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["random", "star", "path", "mixed"]))
+    parents = []  # None: v starts a new tree
+    for v in range(1, n):
+        if shape == "star":
+            parents.append(0)
+        elif shape == "path":
+            parents.append(v - 1)
+        elif shape == "random":
+            parents.append(draw(st.integers(0, v - 1)))
+        else:
+            parents.append(draw(st.none() | st.integers(0, v - 1)))
+    labels = draw(st.permutations(range(n)))
+    return ConflictGraph.from_edges(n, [(labels[v], labels[p]) for v, p in enumerate(parents, 1) if p is not None])
 
-    calls = []
-    check = plane._assert_forest
-    monkeypatch.setattr(plane, "_assert_forest", lambda n, edges: calls.append(n) or check(n, edges))
-    assert max_1_multipacking(random_point_set(40, dim=2, seed=3)).size > 0
-    assert calls == [40]
+
+_forest_graphs = st.one_of(
+    _forests(),
+    st.builds(lambda n, seed: build_nearest_neighbor_graph(random_point_set(n, dim=2, seed=seed)),
+              st.integers(2, 80), st.integers(0, 10**6)),
+)
+
+
+def _cycle_closing_pairs(graph: ConflictGraph) -> list[tuple[int, int]]:
+    """Non-adjacent pairs inside one tree of a forest; each closes a cycle."""
+    tree = list(range(graph.n))
+    for a, b in graph.edges():
+        tree = [tree[a] if t == tree[b] else t for t in tree]
+    return [(a, b) for a in range(graph.n) for b in range(a + 1, graph.n)
+            if tree[a] == tree[b] and b not in graph.adj[a]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_forest_graphs, data=st.data())
+def test_forest_dp_matches_reference(graph, data):
+    assert forest_max_independent_set(graph) == reference_forest_mis(graph)
+    pairs = _cycle_closing_pairs(graph)
+    if pairs:
+        chord = data.draw(st.sampled_from(pairs), label="chord")
+        with pytest.raises(NotAForestError):
+            forest_max_independent_set(ConflictGraph.from_edges(graph.n, [*graph.edges(), chord]))
+
+
+def test_nng_witnesses_are_pinned():
+    # any change to the forest witness (roots, keep/drop ties) changes these digests
+    digests = [hashlib.sha1(repr((r.indices, sorted(r.stats.items()))).encode()).hexdigest()
+               for r in (max_1_multipacking(random_point_set(5000, seed=s, audit="none")) for s in (1, 6, 9))]
+    assert digests == [
+        "63bd5c0e27bb831c633b7e83e51364d28b18e34e",
+        "e44db52c4e494929b6bb1a40a3a07c722edb8a92",
+        "b97585cd5dbaccd5e88ef25abe5c6911d18c7122",
+    ]
 
 
 def test_max_1_multipacking_examples():
@@ -115,7 +159,6 @@ def test_max_1_multipacking_matches_oracle():
 
 def test_conflict_graph_collinear_quad():
     graph = build_conflict_graph(QUAD)
-    assert graph.kind == "conflict"
     assert graph_edges(graph) == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
 
 
@@ -476,6 +519,6 @@ def test_edge_list_round_trip():
 
 def test_conflict_graph_rejects_malformed_adjacency():
     with pytest.raises(ValueError):
-        ConflictGraph(n=2, adj=((1,), ()), kind="generic")
+        ConflictGraph(n=2, adj=((1,), ()))
     with pytest.raises(ValueError):
-        ConflictGraph(n=1, adj=((0,),), kind="generic")
+        ConflictGraph(n=1, adj=((0,),))
