@@ -54,7 +54,7 @@ def main():
             print(f"  k={k}: none (matches exact optimum {exact.size})")
         else:
             print(f"  k={k}: found, {found.stats['nodes']} nodes "
-                  f"(budget {found.stats['node_budget']})")
+                  f"(budget 18^{k} = {18**k})")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ import sys
 import time
 
 from .geometry import (
-    GeneralPositionError,
     NeighborTable,
     ParseError,
     load_points,
@@ -33,6 +32,7 @@ from .instances import (
 )
 from .line import greedy_max_r_multipacking_1d, lower_family_1d, upper_family_1d
 from .multipacking import (
+    ORACLE_MAX_N,
     BudgetExceededError,
     bruteforce_max_r_multipacking,
     is_r_multipacking,
@@ -147,10 +147,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     pts = load_points(args.input)
-    try:
-        indices, file_r = load_witness(args.set)
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, "input", str(exc))
+    indices, file_r = load_witness(args.set)
     if args.r is not None:
         r = _parse_radius(args.r, pts.n)
     elif file_r is not None:
@@ -220,12 +217,11 @@ _BENCH_TRIALS = {"random1d": 100, "random2d": 50, "scan6": 1000}
 
 def cmd_bench(args) -> int:
     family = args.family
-    trials = args.trials if args.trials is not None else _BENCH_TRIALS.get(family, 1)
+    trials = args.trials if args.trials is not None else _BENCH_TRIALS[family]
     if trials < 1:
         raise CliError(EXIT_PARSE, "input", f"--trials must be >= 1, got {trials}")
     rows: list[list] = []
     worst_ratio = 0.0
-    summary = ""
 
     def wall(value_ms: float) -> str:
         return f"{value_ms:.3f}" if args.timing else ""
@@ -235,8 +231,9 @@ def cmd_bench(args) -> int:
         n_max = args.n_max if args.n_max is not None else 12
         if not 2 <= n_min <= n_max:
             raise CliError(EXIT_PARSE, "input", "need 2 <= n-min <= n-max")
-        if n_max > 16:
-            raise CliError(EXIT_METHOD, "method", "random1d compares against the oracle; n-max <= 16")
+        if n_max > ORACLE_MAX_N:
+            raise CliError(EXIT_METHOD, "method",
+                           f"random1d compares against the oracle; n-max <= {ORACLE_MAX_N}")
         mismatches = 0
         for t in range(trials):
             n = n_min + t % (n_max - n_min + 1)
@@ -282,7 +279,7 @@ def cmd_bench(args) -> int:
                 f"{ratio:.6f}", greedy.stats["rounds"], wall(greedy_ms),
             ])
         summary = f"bench random2d: trials={trials} worst_ratio={worst_ratio:.6f}"
-    elif family == "scan6":
+    else:  # scan6
         started = time.perf_counter()
         scan = scan_six_point_sets(trials, seed=args.seed)
         total_ms = (time.perf_counter() - started) * 1000.0
@@ -296,8 +293,6 @@ def cmd_bench(args) -> int:
             f"bench scan6: trials={trials} min_mp={scan['min_mp']} "
             f"counterexamples={len(scan['counterexamples'])}"
         )
-    else:  # argparse choices make this unreachable
-        raise CliError(EXIT_PARSE, "input", f"unknown family {family!r}")
 
     with open(args.report, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -311,17 +306,11 @@ def cmd_render(args) -> int:
     pts = load_points(args.input)
     witness: tuple[int, ...] = ()
     if args.set:
-        try:
-            witness, _ = load_witness(args.set)
-        except ValueError as exc:
-            raise CliError(EXIT_PARSE, "input", str(exc))
-    try:
-        render_to_file(
-            pts, args.out, witness=witness, circles=args.circles,
-            width=args.width, height=args.height,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, "input", str(exc))
+        witness, _ = load_witness(args.set)
+    render_to_file(
+        pts, args.out, witness=witness, circles=args.circles,
+        width=args.width, height=args.height,
+    )
     _note(f"render: wrote {args.out}")
     return EXIT_OK
 
@@ -343,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="target size (fpt only)")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--budget", type=int, default=10_000_000, help="search node budget")
-    p.add_argument("--limit-n", dest="limit_n", type=int, default=16,
+    p.add_argument("--limit-n", dest="limit_n", type=int, default=ORACLE_MAX_N,
                    help="oracle fallback size cap")
     p.set_defaults(func=cmd_solve)
 
@@ -378,10 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--report", required=True)
-    timing = p.add_mutually_exclusive_group()
-    timing.add_argument("--timing", dest="timing", action="store_true", default=True)
-    timing.add_argument("--no-timing", dest="timing", action="store_false",
-                        help="blank the wall_ms column for byte-reproducible reports")
+    p.add_argument("--no-timing", dest="timing", action="store_false",
+                   help="blank the wall_ms column for byte-reproducible reports")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("render", help="draw points (and a witness) as SVG")
@@ -406,9 +393,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except ParseError as exc:
         print(json.dumps({"error": str(exc), "kind": "parse"}), file=sys.stderr)
-        return EXIT_PARSE
-    except GeneralPositionError as exc:
-        print(json.dumps({"error": str(exc), "kind": "input"}), file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:
         print(json.dumps({"error": str(exc), "kind": "budget"}), file=sys.stderr)

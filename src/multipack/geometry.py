@@ -29,12 +29,10 @@ Point = tuple  # tuple[Coord, ...], dimension 1 or 2
 class GeneralPositionError(ValueError):
     """Two neighbors of some point are equidistant from it."""
 
-    def __init__(self, triple: tuple[int, int, int], message: str | None = None):
+    def __init__(self, triple: tuple[int, int, int]):
         self.triple = triple
         v, a, b = triple
-        super().__init__(
-            message or f"points {a} and {b} are equidistant from point {v}"
-        )
+        super().__init__(f"points {a} and {b} are equidistant from point {v}")
 
 
 class PerturbationError(RuntimeError):
@@ -156,12 +154,6 @@ class NeighborTable:
         """Neighbors listed per point: n-1 for a full table."""
         return len(self.order[0]) if self.order else 0
 
-    def rank(self, v: int, u: int) -> int:
-        """1-based position of u in v's ordering; 0 when u == v."""
-        if u == v:
-            return 0
-        return self.order[v].index(u) + 1
-
 
 def build_neighbor_table(pts: PointSet) -> NeighborTable:
     """Full table: every point's n-1 neighbors; raise on any tie."""
@@ -186,20 +178,6 @@ def assert_general_position(pts: PointSet) -> list[tuple[int, int, int]]:
                 tied = [u for _, u in group]
                 violations.extend((first + row, a, b) for a, b in combinations(tied, 2))
     return violations
-
-
-def assert_global_distinct_distances(pts: PointSet) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Stricter optional audit: report pairs of point pairs at equal distance."""
-    entries = sorted(
-        (squared_distance(pts[a], pts[b]), (a, b))
-        for a in range(pts.n)
-        for b in range(a + 1, pts.n)
-    )
-    out = []
-    for (d1, p1), (d2, p2) in zip(entries, entries[1:]):
-        if d1 == d2:
-            out.append((p1, p2))
-    return out
 
 
 def _integer_coords(pts: PointSet) -> tuple[np.ndarray, int]:
@@ -360,7 +338,10 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     return profile
 
 
-def perturb(pts: PointSet, epsilon: Coord, seed: int, max_retries: int = 32) -> PointSet:
+_PERTURB_RETRIES = 32
+
+
+def perturb(pts: PointSet, epsilon: Coord, seed: int) -> PointSet:
     """Jitter every coordinate by a seed-derived rational in (-epsilon, epsilon).
 
     Retries with fresh offsets from the same stream until the result is in
@@ -374,7 +355,7 @@ def perturb(pts: PointSet, epsilon: Coord, seed: int, max_retries: int = 32) -> 
         raise ValueError("epsilon must be positive")
     rng = random.Random(seed)
     denom = 1 << 16
-    for _ in range(max_retries):
+    for _ in range(_PERTURB_RETRIES):
         moved = [
             tuple(c + eps * Fraction(rng.randrange(-denom + 1, denom), denom) for c in p)
             for p in pts.points
@@ -385,7 +366,7 @@ def perturb(pts: PointSet, epsilon: Coord, seed: int, max_retries: int = 32) -> 
             continue  # jitter collided two points; draw again
         if not assert_general_position(candidate):
             return candidate
-    raise PerturbationError(f"no general-position jitter found in {max_retries} tries")
+    raise PerturbationError(f"no general-position jitter found in {_PERTURB_RETRIES} tries")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ PENTAGON_SEED = 0
 SQUARE_SEED = 0
 
 _DEFAULT_GRID = 10**6
+_DRAW_RETRIES = 64
 
 
 def _fixture_path(name: str):
@@ -102,19 +103,19 @@ def _search_jittered_polygon(
     return pts
 
 
-def search_pentagon_fixture(seed: int, radius: int = 1000, jitter: int = 40) -> PointSet | None:
+def search_pentagon_fixture(seed: int) -> PointSet | None:
     """Jitter a regular pentagon; used once to produce the frozen fixture."""
     base = []
     for k in range(5):
         ang = math.radians(90 + 72 * k)
-        base.append((round(radius * math.cos(ang)), round(radius * math.sin(ang))))
-    return _search_jittered_polygon(base, seed, jitter)
+        base.append((round(1000 * math.cos(ang)), round(1000 * math.sin(ang))))
+    return _search_jittered_polygon(base, seed, 40)
 
 
-def search_square_fixture(seed: int, side: int = 1000, jitter: int = 30) -> PointSet | None:
+def search_square_fixture(seed: int) -> PointSet | None:
     """Jitter a square; used once to produce the frozen fixture."""
-    base = [(0, 0), (side, 0), (side, side), (0, side)]
-    return _search_jittered_polygon(base, seed, jitter)
+    base = [(0, 0), (1000, 0), (1000, 1000), (0, 1000)]
+    return _search_jittered_polygon(base, seed, 30)
 
 
 def random_point_set(
@@ -123,7 +124,6 @@ def random_point_set(
     seed: int = 0,
     grid: int | None = None,
     audit: str = "full",
-    max_retries: int = 64,
 ) -> PointSet:
     """Uniform integer points on [0, grid)^dim, deterministic per seed.
 
@@ -146,7 +146,7 @@ def random_point_set(
     if grid < n * n:
         raise ValueError(f"grid {grid} is below n*n = {n * n}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_DRAW_RETRIES):
         draw = rng.integers(0, grid, size=(n, dim), dtype=np.int64)
         points = [tuple(int(c) for c in row) for row in draw.tolist()]
         if len(set(points)) != n:
@@ -155,7 +155,7 @@ def random_point_set(
         if audit == "full" and n > 1 and assert_general_position(pts):
             continue
         return pts
-    raise RuntimeError(f"no valid draw in {max_retries} attempts (n={n}, grid={grid})")
+    raise RuntimeError(f"no valid draw in {_DRAW_RETRIES} attempts (n={n}, grid={grid})")
 
 
 def _scan_seed(seed: int, trial: int) -> int:

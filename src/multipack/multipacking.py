@@ -20,6 +20,10 @@ import numpy as np
 from .geometry import NeighborTable, PointSet, build_neighbor_table, nearest_profile
 
 
+# largest n the 2^n subset scan accepts by default
+ORACLE_MAX_N = 16
+
+
 class BudgetExceededError(RuntimeError):
     """Instance is larger than the configured search budget allows."""
 
@@ -179,11 +183,11 @@ def _report_for_radius(
     )
 
 
-def bruteforce_profile(pts: PointSet, limit_n: int = 16) -> list[SolveReport]:
+def bruteforce_profile(pts: PointSet) -> list[SolveReport]:
     """Exact maximum r-multipacking for every r in 1..n-1 from one subset scan."""
     n = pts.n
-    if n > limit_n:
-        raise BudgetExceededError(f"n={n} exceeds brute-force limit {limit_n}")
+    if n > ORACLE_MAX_N:
+        raise BudgetExceededError(f"n={n} exceeds brute-force limit {ORACLE_MAX_N}")
     if n < 2:
         raise ValueError("profile needs n >= 2")
     table = build_neighbor_table(pts)
@@ -191,7 +195,7 @@ def bruteforce_profile(pts: PointSet, limit_n: int = 16) -> list[SolveReport]:
     return [_report_for_radius(first_bad, pop, rev, r) for r in range(1, n)]
 
 
-def bruteforce_max_r_multipacking(pts: PointSet, r: int, limit_n: int = 16) -> SolveReport:
+def bruteforce_max_r_multipacking(pts: PointSet, r: int, limit_n: int = ORACLE_MAX_N) -> SolveReport:
     """Exact maximum r-multipacking; witness is the lexicographically smallest.
 
     Scans all 2^n subsets (vectorized), so n is capped by limit_n.  A single
@@ -211,11 +215,11 @@ def bruteforce_max_r_multipacking(pts: PointSet, r: int, limit_n: int = 16) -> S
     return _report_for_radius(first_bad, pop, rev, r)
 
 
-def multipacking_number(pts: PointSet, limit_n: int = 16) -> int:
+def multipacking_number(pts: PointSet) -> int:
     """Maximum multipacking cardinality, i.e. the r = n-1 optimum."""
     if pts.n == 1:
         return 1
-    return bruteforce_max_r_multipacking(pts, pts.n - 1, limit_n=limit_n).size
+    return bruteforce_max_r_multipacking(pts, pts.n - 1).size
 
 
 # ---------------------------------------------------------------------------

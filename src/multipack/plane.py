@@ -50,8 +50,8 @@ class ConflictGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ConflictGraph":
         rows: list[set[int]] = [set() for _ in range(n)]
         for a, b in edges:
-            if a == b:
-                raise ValueError(f"loop at {a}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"vertex {b if 0 <= a < n else a} out of range")
             rows[a].add(b)
             rows[b].add(a)
         return cls(n=n, adj=tuple(tuple(sorted(r)) for r in rows))
@@ -92,11 +92,8 @@ def build_nearest_neighbor_graph(pts: PointSet, table: NeighborTable | None = No
     n = pts.n
     if n < 2:
         raise ValueError("need at least 2 points")
-    if table is not None:
-        nearest = [table.order[v][0] for v in range(n)]
-    else:
-        nearest = [row[0] for row in nearest_profile(pts, 1)]
-    return ConflictGraph.from_edges(n, enumerate(nearest))
+    rows = nearest_profile(pts, 1) if table is None else table.order
+    return ConflictGraph.from_edges(n, enumerate(row[0] for row in rows))
 
 
 def build_conflict_graph(pts: PointSet, table: NeighborTable | None = None) -> ConflictGraph:
@@ -105,12 +102,10 @@ def build_conflict_graph(pts: PointSet, table: NeighborTable | None = None) -> C
     n = pts.n
     if n < 3:
         raise ValueError("need at least 3 points")
-    if table is not None:
-        pairs = [(table.order[v][0], table.order[v][1]) for v in range(n)]
-    else:
-        pairs = nearest_profile(pts, 2)
+    ranked = nearest_profile(pts, 2) if table is None else table.order
     rows: list[set[int]] = [set() for _ in range(n)]
-    for v, (a, b) in enumerate(pairs):
+    for v, row in enumerate(ranked):
+        a, b = row[0], row[1]
         rows[v].update((a, b))
         rows[a].update((v, b))
         rows[b].update((v, a))
@@ -417,7 +412,7 @@ def fpt_2_multipacking(pts: PointSet, k: int, max_nodes: int | None = None) -> S
         indices=witness or (),
         r=2,
         method="fpt",
-        stats={"nodes": nodes, "node_budget": 18**k},
+        stats={"nodes": nodes},
     )
 
 

@@ -66,7 +66,19 @@ def test_solve_fpt_quad(quad, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["size"] == 2
-    assert report["stats"]["nodes"] <= report["stats"]["node_budget"] == 324
+    assert report["stats"].keys() == {"nodes"}
+    assert report["stats"]["nodes"] <= 18**2
+
+
+def test_solve_fpt_report_serialises_for_a_large_k(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    save_points_csv(random_point_set(3430, seed=2, audit="none"), path)
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--r", "2",
+                       "--method", "fpt", "--k", "3426")
+    assert code == 0
+    report = json.loads(out)
+    assert report["found"] is False and report["size"] == 0
+    assert report["stats"] == {"nodes": 1}
 
 
 def test_solve_fpt_miss_reports_found_false(pentagon, capsys):
@@ -173,12 +185,12 @@ def test_check_index_out_of_range(quad, tmp_path, capsys):
     assert code == 2
 
 
-def _assert_check_and_render_reject(capsys, points, witness, tmp_path):
+def _assert_check_and_render_reject(capsys, points, witness, tmp_path, error):
     for extra in ((), ("--out", str(tmp_path / "x.svg"))):
         command = "render" if extra else "check"
         code, out, err = run(capsys, command, "--input", points, "--set", str(witness), *extra)
         assert code == 2 and out == ""
-        assert json.loads(err)["kind"] == "input"
+        assert err == json.dumps({"error": f"{witness}: {error}", "kind": "input"}) + "\n"
 
 
 def test_check_rejects_duplicate_indices(tmp_path, capsys):
@@ -186,7 +198,9 @@ def test_check_rejects_duplicate_indices(tmp_path, capsys):
     run(capsys, "gen", "--family", "random", "--n", "40", "--seed", "5", "--out", points)
     witness = tmp_path / "dup.json"
     witness.write_text('{"indices": [1, 1, 2], "r": 2}')
-    _assert_check_and_render_reject(capsys, points, witness, tmp_path)
+    _assert_check_and_render_reject(capsys, points, witness, tmp_path, "'indices' repeats an index")
+    witness.write_text("[1, 2]")
+    _assert_check_and_render_reject(capsys, points, witness, tmp_path, "expected an object with 'indices'")
 
 
 def test_check_rejects_a_size_the_indices_do_not_have(tmp_path, capsys):
@@ -198,7 +212,7 @@ def test_check_rejects_a_size_the_indices_do_not_have(tmp_path, capsys):
     report = json.loads(witness.read_text())
     assert report["size"] == len(report["indices"]) == 16
     witness.write_text(json.dumps({**report, "size": 21}))
-    _assert_check_and_render_reject(capsys, points, witness, tmp_path)
+    _assert_check_and_render_reject(capsys, points, witness, tmp_path, "'size' is 21 but 'indices' holds 16")
 
 
 def test_gen_upper1d_values(tmp_path, capsys):
@@ -343,9 +357,19 @@ def test_render_writes_svg(pentagon, tmp_path, capsys):
 def test_render_rejects_out_of_range_witness(pentagon, tmp_path, capsys):
     witness = tmp_path / "w.json"
     witness.write_text('{"indices": [7], "r": 2}')
-    code, _, _ = run(capsys, "render", "--input", pentagon, "--set", str(witness),
-                     "--out", str(tmp_path / "x.svg"))
-    assert code == 2
+    code, out, err = run(capsys, "render", "--input", pentagon, "--set", str(witness),
+                         "--out", str(tmp_path / "x.svg"))
+    assert code == 2 and out == ""
+    assert err == '{"error": "witness index 7 out of range", "kind": "input"}\n'
+
+
+def test_render_circles_reject_a_tie_grid(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("x,y\n" + "".join(f"{x},{y}\n" for x in range(3) for y in range(3)))
+    code, out, err = run(capsys, "render", "--input", str(grid), "--circles",
+                         "--out", str(tmp_path / "x.svg"))
+    assert code == 2 and out == ""
+    assert err == '{"error": "points 1 and 3 are equidistant from point 0", "kind": "input"}\n'
 
 
 def test_upper_family_csv_loads_back(tmp_path, capsys):

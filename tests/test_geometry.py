@@ -15,7 +15,6 @@ from multipack import (
     ParseError,
     PointSet,
     assert_general_position,
-    assert_global_distinct_distances,
     build_conflict_graph,
     build_neighbor_table,
     greedy_2_multipacking,
@@ -167,14 +166,6 @@ def test_neighbor_table_rows_cover_all_other_points():
         assert sorted(table.order[v]) == [u for u in range(pts.n) if u != v]
 
 
-def test_neighbor_table_rank():
-    pts = pts1d(2, 4, 8, 16)
-    table = build_neighbor_table(pts)
-    assert table.rank(2, 2) == 0
-    assert table.rank(2, 1) == 1
-    assert table.rank(2, 3) == 3
-
-
 def test_general_position_midpoint_violation():
     assert assert_general_position(pts1d(0, 1, 2)) == [(1, 0, 2)]
 
@@ -193,13 +184,6 @@ def test_build_neighbor_table_raises_on_tie():
     with pytest.raises(GeneralPositionError) as info:
         build_neighbor_table(pts1d(0, 1, 2))
     assert info.value.triple == (1, 0, 2)
-
-
-def test_global_distinct_distances_is_stricter():
-    pts = pts2d((0, 0), (5, 0), (100, 0), (103, 4))
-    assert assert_general_position(pts) == []
-    pairs = assert_global_distinct_distances(pts)
-    assert ((0, 1), (2, 3)) in pairs
 
 
 def test_neighbor_order_translation_and_scale_invariant():
@@ -445,6 +429,28 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "points.json"
     save_points_json(pts, path)
     assert load_points_json(path).points == pts.points
+
+
+_file_coordinate = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(2, 1000)),
+)
+_file_points = st.integers(1, 2).flatmap(
+    lambda dim: st.lists(st.tuples(*[_file_coordinate] * dim), min_size=1, max_size=30, unique=True)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_file_points)
+def test_point_files_round_trip_property(tmp_path_factory, points):
+    pts = PointSet.of(points)
+    folder = tmp_path_factory.mktemp("round_trip")
+    for save, load, name in (
+        (save_points_csv, load_points_csv, "points.csv"),
+        (save_points_json, load_points_json, "points.json"),
+    ):
+        save(pts, folder / name)
+        assert load(folder / name) == pts, name
 
 
 def test_json_decimals_parse_exactly(tmp_path):

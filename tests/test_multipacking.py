@@ -115,6 +115,10 @@ def test_oracle_size_guard():
     pts = pts1d(0, 2, 5, 11, 23)
     with pytest.raises(BudgetExceededError):
         bruteforce_max_r_multipacking(pts, 2, limit_n=4)
+    seventeen = random_point_set(17, dim=2, seed=0)
+    for oracle in (bruteforce_profile, multipacking_number):
+        with pytest.raises(BudgetExceededError, match="exceeds brute-force limit 16"):
+            oracle(seventeen)
 
 
 def test_oracle_matches_naive_enumeration():

@@ -68,6 +68,16 @@ def test_forest_dp_path_and_star():
     assert forest_max_independent_set(star) == (1, 2, 3, 4, 5)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("0 5\n", "vertex 5 out of range"),
+    ("0 -1\n", "vertex -1 out of range"),
+    ("1 1\n", "loop at 1"),
+])
+def test_parse_edge_list_rejects_bad_endpoints(text, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        parse_edge_list(text, n=3)
+
+
 def test_forest_dp_rejects_cycles():
     triangle = parse_edge_list("0 1\n1 2\n0 2\n", n=3)
     square = ConflictGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
