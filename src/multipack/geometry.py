@@ -90,8 +90,9 @@ class PointSet:
 
     `nearest_profile` keeps what it ranks on the set itself, in a private
     attribute that is not a field (so `==`, `hash` and `repr` ignore it):
-    the exact integer coordinates and the widest neighbor prefix asked for
-    so far.  It lives exactly as long as the set.
+    the exact integer coordinates, the widest neighbor prefix ranked so far,
+    and the graphs `plane` builds from that prefix, each built once.  It
+    lives exactly as long as the set.
     """
 
     points: tuple[Point, ...]
@@ -190,22 +191,24 @@ def _integer_coords(pts: PointSet) -> tuple[np.ndarray, int]:
     object), which run the same numpy code exactly.
     """
     scale = math.lcm(*{c.denominator for p in pts for c in p})
-    coords = [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
-    lo = min(min(p) for p in coords)
-    span = max(max(p) for p in coords) - lo
+    scaled = pts.points if scale == 1 else [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
+    coords = np.array(scaled, dtype=object)  # Python ints: min, max and the shift stay exact
+    lo = coords.min()
+    span = coords.max() - lo
     dtype = np.int64 if (span if pts.dim == 1 else 2 * span * span) < 2**62 else object
-    return np.array([[c - lo for c in p] for p in coords], dtype=dtype), span
+    return (coords - lo).astype(dtype), span
 
 
 class _Ranking:
     """What ranking a PointSet leaves on it: see `nearest_profile`."""
 
-    __slots__ = ("coords", "order", "first_tie")
+    __slots__ = ("coords", "order", "first_tie", "graphs")
 
     def __init__(self, coords: tuple[np.ndarray, int]):
         self.coords = coords
-        self.order: np.ndarray | None = None  # n x keep neighbor indices
-        self.first_tie: np.ndarray | None = None  # per row; keep - 1 when untied
+        self.order: np.ndarray | None = None  # n x width neighbor indices
+        self.first_tie: np.ndarray | None = None  # per row; width - 1 when untied
+        self.graphs: dict = {}  # k -> the graph `plane` built from the k-nearest prefix
 
 
 def _ranking(pts: PointSet) -> _Ranking:
@@ -236,16 +239,19 @@ def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> tuple[np
 def _ranked_rows(pts: PointSet, keep: int):
     """Yield (first, dist, idx) blocks of exactly ranked neighbor rows.
 
-    Row i of a block belongs to point first + i; its columns are candidates
-    in ascending distance, ties broken by index.  Column 0 is the point
-    itself (distance 0) and columns 1..keep are its keep nearest neighbors.
-    Candidates are all points, or:
+    Row i of a block belongs to point first + i; its columns are in
+    ascending distance, ties broken by index.  Column 0 is the point itself
+    (distance 0) and columns 1..width are its width nearest neighbors, with
+    the same width >= keep in every block.  Candidates are all points, or:
     - on a line, the 2*keep+1 places around the point in sorted order, which
       hold its keep nearest (any point farther along has keep points
-      strictly between);
+      strictly between); width is keep;
     - in the plane, when float64 holds every coordinate exactly (span
-      < 2^53), the k-d tree's nominees, on each row where a float guard
-      proves they contain every point that can rank within the first keep.
+      < 2^53), the point and the k-d tree's keep + 5 nominees, on each row
+      where a float guard proves they contain every point that can rank
+      within the first keep + 4; width is keep + 4, every column the guard
+      can certify.
+    Ranked over all points, width is keep: a wider prefix would cost n^2.
     """
     n = pts.n
     arr, span = _ranking(pts).coords
@@ -262,20 +268,24 @@ def _ranked_rows(pts: PointSet, keep: int):
             rows = everyone[first : first + chunk]
             start = np.clip(place[rows] - keep, 0, n - window)
             cand = np.sort(by_x[start[:, None] + np.arange(window)], axis=1)
-            yield first, *_exact_sort(arr, rows, cand)
+            dist, idx = _exact_sort(arr, rows, cand)
+            yield first, dist[:, : keep + 1], idx[:, : keep + 1]
         return
     query_k = keep + 6  # self, the kept prefix, and slack for the guard
+    width = keep
     nominees = None
     if pts.dim == 2 and span < 2**53 and query_k < n:
         from scipy.spatial import cKDTree  # imported on first use: it takes ~0.4 s to load
 
         flt = arr.astype(np.float64)
         nominees = np.sort(cKDTree(flt).query(flt, k=query_k)[1], axis=1)
+        width = query_k - 2  # the guard needs one nominee beyond the last kept column
     chunk = max(1, budget // (n if nominees is None else query_k))
     for first in range(0, n, chunk):
         rows = everyone[first : first + chunk]
         if nominees is None:
-            yield first, *_exact_sort(arr, rows, np.broadcast_to(everyone, (len(rows), n)))
+            dist, idx = _exact_sort(arr, rows, np.broadcast_to(everyone, (len(rows), n)))
+            yield first, dist[:, : width + 1], idx[:, : width + 1]
             continue
         dist, idx = _exact_sort(arr, rows, nominees[rows])
         # Float error (u = 2^-53): coordinates and their differences are exact
@@ -283,14 +293,43 @@ def _ranked_rows(pts: PointSet, keep: int):
         # the exact D, and its cell bounds (one rounded side distance added per
         # level of a median-split tree, depth < 64) within 192u.  So every point
         # it left out has D >= (1 - 2^-44) * dist[:, -1], and a farthest nominee
-        # past (1 + 2^-40) * dist[:, keep] (in integers; all errors are relative
-        # and D >= 1) proves no other point ranks within keep or ties it.  Rows
+        # past (1 + 2^-40) * dist[:, width] (in integers; all errors are relative
+        # and D >= 1) proves no other point ranks within width or ties it.  Rows
         # without that proof are re-ranked over all points.
-        bad = dist[:, -1] - dist[:, keep] <= dist[:, keep] >> 40
+        bad = dist[:, -1] - dist[:, width] <= dist[:, width] >> 40
         if bad.any():
             full = _exact_sort(arr, rows[bad], np.broadcast_to(everyone, (int(bad.sum()), n)))
             dist[bad], idx[bad] = (block[:, :query_k] for block in full)
-        yield first, dist, idx
+        yield first, dist[:, : width + 1], idx[:, : width + 1]
+
+
+def nearest_order(pts: PointSet, k: int) -> np.ndarray:
+    """`nearest_profile` as a read-only n x min(k, n-1) array of neighbor indices."""
+    if pts.n < 2:
+        raise ValueError("need at least 2 points")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    keep = min(k + 1, pts.n - 1)
+    ranking = _ranking(pts)
+    if ranking.order is None or ranking.order.shape[1] < keep:
+        dtype = np.min_scalar_type(pts.n - 1)
+        orders, first_ties = [], []
+        for _, dist, idx in _ranked_rows(pts, keep):
+            prefix = dist[:, 1:]
+            # a closing True column makes argmax read width - 1 on untied rows
+            tied = np.ones(prefix.shape, dtype=bool)
+            tied[:, :-1] = prefix[:, :-1] == prefix[:, 1:]
+            first_ties.append(tied.argmax(axis=1).astype(dtype))
+            orders.append(idx[:, 1:].astype(dtype))
+        ranking.order, ranking.first_tie = np.concatenate(orders), np.concatenate(first_ties)
+    tied_rows = np.flatnonzero(ranking.first_tie < keep - 1)
+    if tied_rows.size:
+        row = int(tied_rows[0])
+        col = int(ranking.first_tie[row])
+        raise GeneralPositionError((row, int(ranking.order[row, col]), int(ranking.order[row, col + 1])))
+    order = ranking.order[:, : min(k, pts.n - 1)]
+    order.flags.writeable = False  # a view of the prefix every later request reads
+    return order
 
 
 def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
@@ -304,37 +343,17 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     The ranking is kept on `pts` for its lifetime: its integer coordinates
     and the widest prefix ranked so far (neighbor indices and each row's
     first tied column; no distances).  A request no wider than that prefix
-    slices it, and a wider one re-ranks and replaces it.  Ties are checked
-    per request, within the requested width only.
+    slices it, and a wider one re-ranks and replaces it.  The k-d tree keeps
+    every column its float guard certifies, k + 5 of them, so one planar
+    ranking for k serves every request up to k + 4; a line window or a
+    ranking over all points keeps k + 1 columns.  Ties are checked per
+    request, within the requested width only.
     """
-    if pts.n < 2:
-        raise ValueError("need at least 2 points")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    keep = min(k + 1, pts.n - 1)
-    width = min(k, pts.n - 1)
-    ranking = _ranking(pts)
-    if ranking.order is None or ranking.order.shape[1] < keep:
-        dtype = np.min_scalar_type(pts.n - 1)
-        order = np.empty((pts.n, keep), dtype=dtype)
-        first_tie = np.empty(pts.n, dtype=dtype)
-        for first, dist, idx in _ranked_rows(pts, keep):
-            prefix = dist[:, 1 : keep + 1]
-            # a closing True column makes argmax read keep - 1 on untied rows
-            tied = np.ones((len(prefix), keep), dtype=bool)
-            tied[:, :-1] = prefix[:, :-1] == prefix[:, 1:]
-            first_tie[first : first + len(prefix)] = tied.argmax(axis=1)
-            order[first : first + len(prefix)] = idx[:, 1 : keep + 1]
-        ranking.order, ranking.first_tie = order, first_tie
-    tied_rows = np.flatnonzero(ranking.first_tie < keep - 1)
-    if tied_rows.size:
-        row = int(tied_rows[0])
-        col = int(ranking.first_tie[row])
-        raise GeneralPositionError((row, int(ranking.order[row, col]), int(ranking.order[row, col + 1])))
+    order = nearest_order(pts, k)
     profile: list[tuple[int, ...]] = []
-    step = max(1, (1 << 16) // width)  # rows per tolist: no n x width list of lists at once
+    step = max(1, (1 << 16) // order.shape[1])  # rows per tolist: no n x width list of lists at once
     for first in range(0, pts.n, step):
-        profile.extend(map(tuple, ranking.order[first : first + step, :width].tolist()))
+        profile.extend(map(tuple, order[first : first + step].tolist()))
     return profile
 
 

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable
+from itertools import chain
+from typing import Callable, Iterable
 
-from .geometry import NeighborTable, PointSet, nearest_profile
+import numpy as np
+
+from .geometry import NeighborTable, PointSet, _ranking, nearest_order
 from .multipacking import BudgetExceededError, SolveReport
 
 DEGREE_BOUND = 17
@@ -33,34 +36,69 @@ class ConflictGraph:
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1 or len(self.adj) != self.n:
+        """Reject the first faulty row, scanning rows in order: a row that is
+        not strictly increasing, else its first endpoint out of range, a
+        loop, or an edge whose reverse is missing."""
+        n = self.n
+        if n < 1 or len(self.adj) != n:
             raise ValueError("adjacency size does not match n")
-        for v, row in enumerate(self.adj):
-            if list(row) != sorted(set(row)):
-                raise ValueError(f"adjacency of {v} must be sorted and duplicate-free")
-            for u in row:
-                if not 0 <= u < self.n:
-                    raise ValueError(f"vertex {u} out of range")
-                if u == v:
-                    raise ValueError(f"loop at {v}")
-                if v not in self.adj[u]:
-                    raise ValueError(f"edge {v}-{u} is not symmetric")
+        sizes = np.fromiter(map(len, self.adj), dtype=np.int64, count=n)
+        ends = np.cumsum(sizes)
+        try:
+            flat = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=int(ends[-1]))
+        except OverflowError:  # an endpoint beyond int64: compare exactly on Python ints
+            flat = np.array(list(chain.from_iterable(self.adj)), dtype=object)
+        owner = np.repeat(np.arange(n), sizes)
+        same_row = owner[1:] == owner[:-1]
+        unsorted = np.zeros(n, dtype=bool)
+        unsorted[owner[1:][same_row & (flat[1:] <= flat[:-1])]] = True
+        inside = (flat >= 0) & (flat < n)
+        loop = flat == owner
+        nbr, own = flat[inside].astype(np.int64), owner[inside]
+        missing = ~inside  # out of range, or in range with no reverse edge
+        missing[inside] = ~np.isin(nbr * n + own, own * n + nbr)
+        fault = missing | loop
+        bad = unsorted.copy()
+        bad[owner[fault]] = True
+        if not bad.any():
+            return
+        v = int(bad.argmax())
+        if unsorted[v]:
+            raise ValueError(f"adjacency of {v} must be sorted and duplicate-free")
+        start = int(ends[v] - sizes[v])
+        i = start + int(fault[start : ends[v]].argmax())
+        if not inside[i]:
+            raise ValueError(f"vertex {flat[i]} out of range")
+        if loop[i]:
+            raise ValueError(f"loop at {v}")
+        raise ValueError(f"edge {v}-{flat[i]} is not symmetric")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ConflictGraph":
-        rows: list[set[int]] = [set() for _ in range(n)]
+        pairs = []
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"vertex {b if 0 <= a < n else a} out of range")
-            rows[a].add(b)
-            rows[b].add(a)
-        return cls(n=n, adj=tuple(tuple(sorted(r)) for r in rows))
+            pairs.append((a, b))
+        both = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return _from_pairs(n, both[:, 0], both[:, 1])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, u) for v in range(self.n) for u in self.adj[v] if v < u]
 
     def max_degree(self) -> int:
         return max(len(row) for row in self.adj)
+
+
+def _from_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> ConflictGraph:
+    """The graph on 0..n-1 with an edge for each pair (src[i], dst[i]),
+    in both directions, duplicates merged; endpoints must be in range."""
+    src, dst = src.astype(np.int64), dst.astype(np.int64)
+    keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))  # by (row, neighbor)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    bounds = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
+    nbrs = (keys % n).tolist()
+    return ConflictGraph(n=n, adj=tuple(tuple(nbrs[bounds[v] : bounds[v + 1]]) for v in range(n)))
 
 
 def edge_list_text(graph: ConflictGraph) -> str:
@@ -87,29 +125,44 @@ def parse_edge_list(text: str, n: int | None = None) -> ConflictGraph:
     return ConflictGraph.from_edges(size, edges)
 
 
+def _nng_from_order(n: int, order: np.ndarray) -> ConflictGraph:
+    return _from_pairs(n, np.arange(n), order[:, 0])
+
+
+def _conflict_from_order(n: int, order: np.ndarray) -> ConflictGraph:
+    v, a, b = np.arange(n), order[:, 0], order[:, 1]
+    return _from_pairs(n, np.concatenate([v, v, a]), np.concatenate([a, b, b]))
+
+
+def _graph(
+    pts: PointSet, table: NeighborTable | None, k: int, build: Callable[[int, np.ndarray], ConflictGraph]
+) -> ConflictGraph:
+    """`build` on each point's k nearest.  Read from the set's own ranking,
+    the graph is built once and kept next to it; a table builds afresh."""
+    if table is not None:
+        order = np.array([row[:k] for row in table.order])
+        if table.n != pts.n or not ((order >= 0) & (order < pts.n)).all():
+            raise ValueError("table does not match point set")
+        return build(pts.n, order)
+    graphs = _ranking(pts).graphs
+    if k not in graphs:
+        graphs[k] = build(pts.n, nearest_order(pts, k))  # a tie raises here: nothing is kept
+    return graphs[k]
+
+
 def build_nearest_neighbor_graph(pts: PointSet, table: NeighborTable | None = None) -> ConflictGraph:
     """Edge from every point to its unique nearest point (deduplicated)."""
-    n = pts.n
-    if n < 2:
+    if pts.n < 2:
         raise ValueError("need at least 2 points")
-    rows = nearest_profile(pts, 1) if table is None else table.order
-    return ConflictGraph.from_edges(n, enumerate(row[0] for row in rows))
+    return _graph(pts, table, 1, _nng_from_order)
 
 
 def build_conflict_graph(pts: PointSet, table: NeighborTable | None = None) -> ConflictGraph:
     """Triangle on {v, first(v), second(v)} for every v; independence in the
     result is exactly the radius-2 multipacking condition."""
-    n = pts.n
-    if n < 3:
+    if pts.n < 3:
         raise ValueError("need at least 3 points")
-    ranked = nearest_profile(pts, 2) if table is None else table.order
-    rows: list[set[int]] = [set() for _ in range(n)]
-    for v, row in enumerate(ranked):
-        a, b = row[0], row[1]
-        rows[v].update((a, b))
-        rows[a].update((v, b))
-        rows[b].update((v, a))
-    return ConflictGraph(n=n, adj=tuple(tuple(sorted(r)) for r in rows))
+    return _graph(pts, table, 2, _conflict_from_order)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +606,8 @@ def max_degree_audit(pts: PointSet, graph: ConflictGraph | None = None) -> Degre
     """Max conflict-graph degree; the construction guarantees at most 17."""
     if graph is None:
         graph = build_conflict_graph(pts)
+    elif graph.n != pts.n:
+        raise ValueError("graph does not match point set")
     degrees = [len(row) for row in graph.adj]
     top = max(degrees)
     return DegreeAudit(

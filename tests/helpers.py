@@ -213,3 +213,21 @@ def reference_forest_mis(graph):
             for c in children[v]:
                 walk.append((c, keep))
     return tuple(sorted(take))
+
+
+def reference_adjacency_fault(n, adj):
+    """The message `ConflictGraph` raises for (n, adj), or None: the per-row loop
+    it ran before its checks became whole-array tests."""
+    if n < 1 or len(adj) != n:
+        return "adjacency size does not match n"
+    for v, row in enumerate(adj):
+        if list(row) != sorted(set(row)):
+            return f"adjacency of {v} must be sorted and duplicate-free"
+        for u in row:
+            if not 0 <= u < n:
+                return f"vertex {u} out of range"
+            if u == v:
+                return f"loop at {v}"
+            if v not in adj[u]:
+                return f"edge {v}-{u} is not symmetric"
+    return None

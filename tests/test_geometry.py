@@ -16,6 +16,7 @@ from multipack import (
     PointSet,
     assert_general_position,
     build_conflict_graph,
+    build_nearest_neighbor_graph,
     build_neighbor_table,
     greedy_2_multipacking,
     is_r_multipacking,
@@ -29,7 +30,7 @@ from multipack import (
     save_points_json,
     squared_distance,
 )
-from multipack import geometry
+from multipack import geometry, plane
 from multipack.geometry import (
     _normalize,
     format_coordinate,
@@ -233,33 +234,54 @@ def _all_points_rows(monkeypatch) -> list[int]:
     return counts
 
 
+def _counted(monkeypatch, module, name) -> list:
+    """Record the arguments of every call to module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_nearest_profile_matches_reference(monkeypatch):
-    """Every ranking path against plain sorting, and which rows fell back to all points."""
-    cases = {  # label: (points, rows ranked over all points per ranking)
-        "k-d tree at n = 60": (random_point_set(60, dim=2, seed=2), 0),
-        "k-d tree at n = 300": (random_point_set(300, dim=2, seed=2, grid=100_000), 0),
-        "k-d tree at n = 600": (random_point_set(600, dim=2, seed=2, grid=360_000), 0),
+    """Every ranking path against plain sorting, and which rows fell back to all points.
+
+    The k-d tree keeps k + 5 certified columns, so its ranking for k = 1
+    serves k = 2 and 3 too; a line window and a ranking over all points keep
+    k + 1 columns, so each wider k ranks again.
+    """
+    cases = {  # label: (points, rows ranked over all points per ranking, rankings for k = 1, 2, 3)
+        "k-d tree at n = 60": (random_point_set(60, dim=2, seed=2), 0, 1),
+        "k-d tree at n = 300": (random_point_set(300, dim=2, seed=2, grid=100_000), 0, 1),
+        "k-d tree at n = 600": (random_point_set(600, dim=2, seed=2, grid=360_000), 0, 1),
         **{
-            f"k-d tree at span 2^{e}": (random_point_set(600, dim=2, seed=e, grid=2**e, audit="none"), 0)
+            f"k-d tree at span 2^{e}": (random_point_set(600, dim=2, seed=e, grid=2**e, audit="none"), 0, 1)
             for e in (29, 40, 50)
         },
-        "all points: query_k >= n": (random_point_set(8, dim=2, seed=2), 8),
-        "all points: span >= 2^53": (random_point_set(40, dim=2, seed=2, grid=2**54, audit="none"), 40),
-        "rows failing the float guard": (rosettes(12), 12),
-        "sorted window on a line": (random_point_set(700, dim=1, seed=3, grid=10**8), 0),
+        "all points: query_k >= n": (random_point_set(8, dim=2, seed=2), 8, 3),
+        "all points: span >= 2^53": (random_point_set(40, dim=2, seed=2, grid=2**54, audit="none"), 40, 3),
+        "rows failing the float guard": (rosettes(12), 12, 1),
+        "sorted window on a line": (random_point_set(700, dim=1, seed=3, grid=10**8), 0, 3),
         **{
-            f"sorted window at span 2^{e}": (random_point_set(300, dim=1, seed=e, grid=2**e, audit="none"), 0)
+            f"sorted window at span 2^{e}": (random_point_set(300, dim=1, seed=e, grid=2**e, audit="none"), 0, 3)
             for e in (31, 45, 61, 63)
         },
     }
     counts = _all_points_rows(monkeypatch)
-    for label, (pts, fallback) in cases.items():
+    rankings = _counted(monkeypatch, geometry, "_ranked_rows")
+    for label, (pts, fallback, ranked) in cases.items():
         rows, triple = reference_prefix(pts, 3)
         assert triple is None, label
         counts.clear()
-        for k in (1, 2, 3):  # each k widens the kept prefix, so each ranks again
+        rankings.clear()
+        for k in (1, 2, 3):
             assert nearest_profile(pts, k) == [row[:k] for row in rows], (label, k)
-        assert sum(counts) == 3 * fallback, label
+        assert len(rankings) == ranked, label
+        assert sum(counts) == ranked * fallback, label
 
 
 def test_default_planar_draw_ranks_without_fallback(monkeypatch):
@@ -333,26 +355,22 @@ def test_nearest_profile_cache_property(points, ks):
         assert _profile_outcome(PointSet(points=shared.points, dim=shared.dim), k) == expected, k
 
 
-def test_plane_op_ranks_at_most_twice(tmp_path, monkeypatch):
-    """The benchmark's planar op sequence ranks its set once per widening."""
+def test_plane_op_ranks_once_and_builds_each_graph_once(tmp_path, monkeypatch):
+    """The benchmark's planar op sequence ranks its set once and builds each graph once."""
     path = tmp_path / "plane.csv"
     save_points_csv(random_point_set(600, dim=2, seed=3), path)
-    calls = []
-    ranked_rows = geometry._ranked_rows
-
-    def counted(pts, keep):
-        calls.append(keep)
-        return ranked_rows(pts, keep)
-
-    monkeypatch.setattr(geometry, "_ranked_rows", counted)
+    rankings = _counted(monkeypatch, geometry, "_ranked_rows")
+    conflict_builds = _counted(monkeypatch, plane, "_conflict_from_order")
+    nng_builds = _counted(monkeypatch, plane, "_nng_from_order")
     pts = load_points(path)
     nng = max_1_multipacking(pts)
     assert is_r_multipacking(pts, NeighborTable(order=tuple(nearest_profile(pts, 1))), nng.indices, 1)[0]
     greedy = greedy_2_multipacking(pts)
     assert is_r_multipacking(pts, NeighborTable(order=tuple(nearest_profile(pts, 2))), greedy.indices, 2)[0]
     assert max_degree_audit(pts, build_conflict_graph(pts)).within_bound
-    assert len(calls) <= 2
-    assert calls == [2, 3]
+    assert [keep for _, keep in rankings] == [2]
+    assert len(conflict_builds) == 1
+    assert len(nng_builds) == 1
 
 
 def test_cached_ranking_leaves_point_set_identity():
@@ -362,7 +380,22 @@ def test_cached_ranking_leaves_point_set_identity():
     nearest_profile(pts, 2)
     assert pts == fresh and fresh == pts
     assert (repr(pts), hash(pts)) == before == (repr(fresh), hash(fresh))
+    conflict, nng = build_conflict_graph(pts), build_nearest_neighbor_graph(pts)
+    assert build_conflict_graph(pts) is conflict and build_nearest_neighbor_graph(pts) is nng
+    assert pts == fresh and fresh == pts
+    assert (repr(pts), hash(pts)) == before == (repr(fresh), hash(fresh))
     assert [f.name for f in fields(pts)] == ["points", "dim"]
+    # point 0's second and third neighbors tie: width 2 raises every time and keeps nothing
+    tied = pts2d((0, 0), (1, 0), (3, 0), (0, 3), (50, 60))
+    for _ in range(3):
+        with pytest.raises(GeneralPositionError) as info:
+            build_conflict_graph(tied)
+        assert info.value.triple == (0, 2, 3)
+        assert geometry._ranking(tied).graphs == {}
+    tied_nng = build_nearest_neighbor_graph(tied)  # width 1 has no tie
+    assert geometry._ranking(tied).graphs == {1: tied_nng}
+    with pytest.raises(GeneralPositionError):
+        build_conflict_graph(tied)
 
 
 def test_nearest_profile_matches_full_table():

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_max_independent_sets, pts2d, reference_forest_mis, reference_local_search
+from helpers import (
+    naive_max_independent_sets,
+    pts2d,
+    reference_adjacency_fault,
+    reference_forest_mis,
+    reference_local_search,
+)
 from multipack import (
     BudgetExceededError,
     ConflictGraph,
+    NeighborTable,
     NotAForestError,
     bruteforce_max_r_multipacking,
     build_conflict_graph,
@@ -141,6 +148,39 @@ def test_nng_witnesses_are_pinned():
         "e44db52c4e494929b6bb1a40a3a07c722edb8a92",
         "b97585cd5dbaccd5e88ef25abe5c6911d18c7122",
     ]
+
+
+def test_n5000_graphs_are_pinned():
+    # the conflict graph and the nearest-neighbor forest, byte for byte as `edge_list_text` dumps them
+    digests = [
+        tuple(hashlib.sha1(edge_list_text(build(pts)).encode()).hexdigest()
+              for build in (build_conflict_graph, build_nearest_neighbor_graph))
+        for pts in (random_point_set(5000, seed=s, audit="none") for s in (1, 6, 9))
+    ]
+    assert digests == [
+        ("74b279215692cd01841ae61215c4f107c556921b", "49b75ea0142a4254e7460d03f97a9e8bd2a11ac0"),
+        ("5ef21c10c9a21d02555a9c52e8fe8ac81358f5b2", "25fd0e9facda75a2a5f8d1b3fcb23aff25becf08"),
+        ("434f901bfebbc314b684527cd14bc600bdd4d935", "7d1c360df5eacda4b76f2f099966fc88db87de4d"),
+    ]
+
+
+_SIX = pts2d((0, 0), (1, 0), (3, 0), (7, 1), (4, 9), (12, 20))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_conflict_graph(_SIX, NeighborTable(order=tuple(nearest_profile(_SIX, 2))[:5])),
+     "table does not match point set"),
+    (lambda: build_conflict_graph(_SIX, NeighborTable(order=((1, 2),) * 7)), "table does not match point set"),
+    (lambda: build_nearest_neighbor_graph(_SIX, NeighborTable(order=tuple(nearest_profile(_SIX, 1))[:5])),
+     "table does not match point set"),
+    (lambda: build_nearest_neighbor_graph(_SIX, NeighborTable(order=((1,),) * 7)), "table does not match point set"),
+    (lambda: build_conflict_graph(_SIX, NeighborTable(order=((1, 6),) * 6)), "table does not match point set"),
+    (lambda: max_degree_audit(_SIX, ConflictGraph.from_edges(7, [(0, 6)])), "graph does not match point set"),
+], ids=["conflict-short-table", "conflict-long-table", "nng-short-table", "nng-long-table",
+        "conflict-table-out-of-range", "audit-larger-graph"])
+def test_derived_data_of_another_point_set_is_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_max_1_multipacking_examples():
@@ -528,7 +568,49 @@ def test_edge_list_round_trip():
 
 
 def test_conflict_graph_rejects_malformed_adjacency():
-    with pytest.raises(ValueError):
-        ConflictGraph(n=2, adj=((1,), ()))
-    with pytest.raises(ValueError):
-        ConflictGraph(n=1, adj=((0,),))
+    """Each fault and its message; rows are scanned in order, and within a row
+    the order check comes first, then each endpoint: range, loop, symmetry."""
+    cases = [
+        (3, ((1,), (0,)), "adjacency size does not match n"),
+        (0, (), "adjacency size does not match n"),
+        (3, ((2, 1), (0,), (0,)), "adjacency of 0 must be sorted and duplicate-free"),
+        (3, ((1, 1), (0,), ()), "adjacency of 0 must be sorted and duplicate-free"),
+        (2, ((2,), ()), "vertex 2 out of range"),
+        (2, ((2**70,), ()), f"vertex {2**70} out of range"),
+        (2, ((-1,), ()), "vertex -1 out of range"),
+        (1, ((0,),), "loop at 0"),
+        (2, ((1,), ()), "edge 0-1 is not symmetric"),
+        # two faults each: the first in scan order is named
+        (3, ((1,), (2, 0), (1,)), "adjacency of 1 must be sorted and duplicate-free"),
+        (3, ((0, 1), (), ()), "loop at 0"),
+        (3, ((1, 5), (-1, 0), ()), "vertex 5 out of range"),
+        (3, ((2,), (0,), ()), "edge 0-2 is not symmetric"),
+    ]
+    for n, adj, message in cases:
+        with pytest.raises(ValueError) as info:
+            ConflictGraph(n=n, adj=adj)
+        assert str(info.value) == message, (n, adj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_conflict_graph_validation_matches_reference(n, data):
+    """A random simple graph with up to three entries inserted or deleted is
+    accepted or rejected, with the same message, as the per-row loop does."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rows = [sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v}) for v in range(n)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        row = rows[data.draw(st.integers(0, n - 1))]
+        if row and data.draw(st.booleans()):
+            del row[data.draw(st.integers(0, len(row) - 1))]
+        else:
+            row.insert(data.draw(st.integers(0, len(row))), data.draw(st.sampled_from([-1, n, 2**70, *range(n)])))
+    adj = tuple(map(tuple, rows))
+    expected = reference_adjacency_fault(n, adj)
+    if expected is None:
+        ConflictGraph(n=n, adj=adj)
+    else:
+        with pytest.raises(ValueError) as info:
+            ConflictGraph(n=n, adj=adj)
+        assert str(info.value) == expected
