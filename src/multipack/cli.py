@@ -32,6 +32,7 @@ from .instances import (
 )
 from .line import greedy_max_r_multipacking_1d, lower_family_1d, upper_family_1d
 from .multipacking import (
+    ORACLE_CEILING_N,
     ORACLE_MAX_N,
     BudgetExceededError,
     bruteforce_max_r_multipacking,
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--budget", type=int, default=10_000_000, help="search node budget")
     p.add_argument("--limit-n", dest="limit_n", type=int, default=ORACLE_MAX_N,
-                   help="oracle fallback size cap")
+                   help=f"oracle fallback size cap; never above {ORACLE_CEILING_N}")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="validate a witness set")

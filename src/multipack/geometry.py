@@ -88,11 +88,11 @@ def squared_distance(a: Sequence[Coord], b: Sequence[Coord]) -> Coord:
 class PointSet:
     """Immutable set of distinct points, all of the same dimension (1 or 2).
 
-    `nearest_profile` keeps what it ranks on the set itself, in a private
-    attribute that is not a field (so `==`, `hash` and `repr` ignore it):
-    the exact integer coordinates, the widest neighbor prefix ranked so far,
-    and the graphs `plane` builds from that prefix, each built once.  It
-    lives exactly as long as the set.
+    `nearest_profile` and `assert_general_position` keep what they rank on
+    the set itself, in a private attribute that is not a field (so `==`,
+    `hash` and `repr` ignore it): the exact integer coordinates, the widest
+    neighbor prefix ranked so far, and the graphs `plane` builds from that
+    prefix, each built once.  It lives exactly as long as the set.
     """
 
     points: tuple[Point, ...]
@@ -167,17 +167,13 @@ def assert_general_position(pts: PointSet) -> list[tuple[int, int, int]]:
     """Return all triples (v, a, b) with a and b equidistant from v.
 
     Empty list means every point's full neighbor ordering is unambiguous.
-    Ranks all n-1 neighbors of every point, so it is meant for moderate n.
+    Ranks all n-1 neighbors of every point, so it is meant for moderate n;
+    the ranking stays on `pts` (see `nearest_profile`), so a later request
+    for any width reads it instead of ranking again.
     """
-    violations = []
-    if pts.n < 3:
-        return violations
-    for first, dist, idx in _ranked_rows(pts, pts.n - 1):
-        for row in np.flatnonzero((dist[:, 1:-1] == dist[:, 2:]).any(axis=1)).tolist():
-            ranked = zip(dist[row, 1:].tolist(), idx[row, 1:].tolist())
-            for _, group in groupby(ranked, key=itemgetter(0)):
-                tied = [u for _, u in group]
-                violations.extend((first + row, a, b) for a, b in combinations(tied, 2))
+    violations: list[tuple[int, int, int]] = []
+    if pts.n >= 3:
+        _rank(pts, pts.n - 1, violations)
     return violations
 
 
@@ -303,6 +299,36 @@ def _ranked_rows(pts: PointSet, keep: int):
         yield first, dist[:, : width + 1], idx[:, : width + 1]
 
 
+def _rank(pts: PointSet, keep: int, ties: list | None = None) -> None:
+    """Rank every row to width >= keep and keep it on `pts` unless a wider prefix is kept.
+
+    What is kept is each row's neighbor indices and its first tied column
+    (width - 1 when untied).  A list `ties` also receives every triple
+    (v, a, b) with a < b equidistant from v within that width, in (v,
+    distance, a, b) order.
+    """
+    dtype = np.min_scalar_type(pts.n - 1)
+    orders, first_ties = [], []
+    for first, dist, idx in _ranked_rows(pts, keep):
+        prefix = dist[:, 1:]
+        # a closing True column makes argmax read width - 1 on untied rows
+        tied = np.ones(prefix.shape, dtype=bool)
+        tied[:, :-1] = prefix[:, :-1] == prefix[:, 1:]
+        first_tie = tied.argmax(axis=1)
+        first_ties.append(first_tie.astype(dtype))
+        orders.append(idx[:, 1:].astype(dtype))
+        if ties is None:
+            continue
+        for row in np.flatnonzero(first_tie < prefix.shape[1] - 1).tolist():
+            ranked = zip(prefix[row].tolist(), idx[row, 1:].tolist())
+            for _, group in groupby(ranked, key=itemgetter(0)):
+                tied_points = [u for _, u in group]
+                ties.extend((first + row, a, b) for a, b in combinations(tied_points, 2))
+    ranking = _ranking(pts)
+    if ranking.order is None or ranking.order.shape[1] < orders[0].shape[1]:
+        ranking.order, ranking.first_tie = np.concatenate(orders), np.concatenate(first_ties)
+
+
 def nearest_order(pts: PointSet, k: int) -> np.ndarray:
     """`nearest_profile` as a read-only n x min(k, n-1) array of neighbor indices."""
     if pts.n < 2:
@@ -312,16 +338,7 @@ def nearest_order(pts: PointSet, k: int) -> np.ndarray:
     keep = min(k + 1, pts.n - 1)
     ranking = _ranking(pts)
     if ranking.order is None or ranking.order.shape[1] < keep:
-        dtype = np.min_scalar_type(pts.n - 1)
-        orders, first_ties = [], []
-        for _, dist, idx in _ranked_rows(pts, keep):
-            prefix = dist[:, 1:]
-            # a closing True column makes argmax read width - 1 on untied rows
-            tied = np.ones(prefix.shape, dtype=bool)
-            tied[:, :-1] = prefix[:, :-1] == prefix[:, 1:]
-            first_ties.append(tied.argmax(axis=1).astype(dtype))
-            orders.append(idx[:, 1:].astype(dtype))
-        ranking.order, ranking.first_tie = np.concatenate(orders), np.concatenate(first_ties)
+        _rank(pts, keep)
     tied_rows = np.flatnonzero(ranking.first_tie < keep - 1)
     if tied_rows.size:
         row = int(tied_rows[0])
@@ -342,8 +359,9 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
 
     The ranking is kept on `pts` for its lifetime: its integer coordinates
     and the widest prefix ranked so far (neighbor indices and each row's
-    first tied column; no distances).  A request no wider than that prefix
-    slices it, and a wider one re-ranks and replaces it.  The k-d tree keeps
+    first tied column; no distances), which `assert_general_position`
+    leaves at full width.  A request no wider than that prefix slices it,
+    and a wider one re-ranks and replaces it.  The k-d tree keeps
     every column its float guard certifies, k + 5 of them, so one planar
     ranking for k serves every request up to k + 4; a line window or a
     ranking over all points keeps k + 1 columns.  Ties are checked per

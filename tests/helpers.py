@@ -2,6 +2,8 @@
 
 import itertools
 
+import numpy as np
+
 from multipack import (
     NeighborTable,
     PointSet,
@@ -231,3 +233,66 @@ def reference_adjacency_fault(n, adj):
             if v not in adj[u]:
                 return f"edge {v}-{u} is not symmetric"
     return None
+
+
+def _reference_popcount_table(n_bits):
+    size = 1 << n_bits
+    pop = np.zeros(size, dtype=np.uint8)
+    block = 1
+    while block < size:
+        pop[block : 2 * block] = pop[:block] + 1
+        block *= 2
+    return pop
+
+
+def _reference_bit_reverse_table(n_bits):
+    size = 1 << n_bits
+    masks = np.arange(size, dtype=np.uint32)
+    rev = np.zeros(size, dtype=np.uint32)
+    for b in range(n_bits):
+        rev |= ((masks >> np.uint32(b)) & np.uint32(1)) << np.uint32(n_bits - 1 - b)
+    return rev
+
+
+def reference_violation_scan(table):
+    """The oracle's earlier scan: one popcount pass over all 2^n masks per (s, v).
+
+    Returns (first_bad_s, popcount, bit_reversal) arrays indexed by mask;
+    first_bad_s is n where no s up to the table's width is broken.  Writing
+    larger s first and overwriting with smaller s leaves the minimum.
+    """
+    n = table.n
+    size = 1 << n
+    masks = np.arange(size, dtype=np.uint32)
+    pop = _reference_popcount_table(n)
+    rev = _reference_bit_reverse_table(n)
+    # prefix[v][s] = mask of v plus its s nearest points
+    prefix = []
+    for v in range(n):
+        row = [1 << v]
+        for u in table.order[v]:
+            row.append(row[-1] | (1 << u))
+        prefix.append(row)
+    first_bad = np.full(size, n, dtype=np.int16)
+    for s in range(table.width, 0, -1):
+        bound = (s + 1) >> 1
+        for v in range(n):
+            counts = pop[masks & np.uint32(prefix[v][s])]
+            first_bad[counts > bound] = s
+    return first_bad, pop, rev
+
+
+def reference_oracle_report(first_bad, pop, rev, r):
+    """The oracle's report for radius r from `reference_violation_scan` arrays."""
+    valid = first_bad > r
+    best = int(pop[valid].max())
+    candidates = np.nonzero(valid & (pop == best))[0]
+    # lexicographically smallest index tuple == largest bit-reversed mask
+    winner = int(candidates[np.argmax(rev[candidates])])
+    return SolveReport(
+        size=best,
+        indices=tuple(i for i in range(len(first_bad).bit_length() - 1) if winner >> i & 1),
+        r=r,
+        method="bruteforce",
+        stats={"subsets": int(first_bad.size)},
+    )

@@ -121,6 +121,16 @@ def test_solve_error_codes(lower6, quad, tmp_path, capsys):
     assert code == 4 and json.loads(err)["kind"] == "budget"
 
 
+def test_solve_oracle_ceiling_overrides_limit_n(tmp_path, capsys):
+    """--limit-n above the oracle's ceiling still exits 4 before the 2^n scan allocates."""
+    path = tmp_path / "p34.csv"
+    save_points_csv(random_point_set(34, seed=34), path)
+    for method in ("auto", "bruteforce"):
+        code, out, err = run(capsys, "solve", "--input", str(path), "--r", "3", "--method", method, "--limit-n", "40")
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": "n=34 exceeds brute-force limit 24", "kind": "budget"}
+
+
 def test_solve_rejects_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,two\n")
@@ -469,6 +479,8 @@ def test_cli_never_shows_a_traceback(tmp_path, capsys):
         inputs[-1].write_text(text)
     inputs.append(tmp_path / "span40.csv")
     save_points_csv(random_point_set(40, seed=40, grid=2**40), inputs[-1])
+    inputs.append(tmp_path / "p34.csv")
+    save_points_csv(random_point_set(34, seed=34), inputs[-1])
     witnesses = []
     for i, text in enumerate(_ODD_WITNESSES):
         witnesses.append(tmp_path / f"witness{i}.json")
@@ -483,6 +495,7 @@ def test_cli_never_shows_a_traceback(tmp_path, capsys):
          "--report", str(tmp_path / "bench.csv"))
         for family in ("random1d", "random2d") for lo in ("1", "2", "3")
     ]
+    calls += [("solve", "--input", str(inputs[-1]), "--r", "3", "--limit-n", "40")]
     for i, path in enumerate(map(str, inputs)):
         solved = tmp_path / f"solved{i}.json"
         calls += [("solve", "--input", path, "--r", r) for r in ("full", "1", "2")]

@@ -25,6 +25,7 @@ from multipack import (
     load_points_json,
     max_1_multipacking,
     max_degree_audit,
+    multipacking_number,
     perturb,
     save_points_csv,
     save_points_json,
@@ -273,7 +274,8 @@ def test_nearest_profile_matches_reference(monkeypatch):
     }
     counts = _all_points_rows(monkeypatch)
     rankings = _counted(monkeypatch, geometry, "_ranked_rows")
-    for label, (pts, fallback, ranked) in cases.items():
+    for label, (drawn, fallback, ranked) in cases.items():
+        pts = PointSet(points=drawn.points, dim=drawn.dim)  # unranked: a full audit leaves its ranking on the draw
         rows, triple = reference_prefix(pts, 3)
         assert triple is None, label
         counts.clear()
@@ -345,14 +347,30 @@ _fraction_line = st.lists(st.tuples(_fraction), min_size=2, max_size=10, unique=
 @given(
     points=st.one_of(_grid_points, _line_points, _fraction_points, _fraction_line, _tiny_points),
     ks=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    audit_first=st.booleans(),
 )
-def test_nearest_profile_cache_property(points, ks):
-    """One shared set answers every width as a fresh copy and the reference do."""
+def test_nearest_profile_cache_property(points, ks, audit_first):
+    """One shared set answers every width as a fresh copy and the reference do.
+
+    A full audit first leaves its full-width ranking on the set for every
+    later request to slice.
+    """
     shared = PointSet.of(points)
+    if audit_first:
+        assert assert_general_position(shared) == reference_ties(shared)
     for k in ks:
         expected = reference_prefix(shared, k)
         assert _profile_outcome(shared, k) == expected, k
         assert _profile_outcome(PointSet(points=shared.points, dim=shared.dim), k) == expected, k
+
+
+def test_audited_draw_ranks_once_for_the_oracle(monkeypatch):
+    """A fully audited draw keeps its ranking, so the oracle on it ranks nothing more."""
+    rankings = _counted(monkeypatch, geometry, "_ranked_rows")
+    pts = random_point_set(6, dim=2, seed=5)
+    assert [keep for _, keep in rankings] == [5]
+    assert multipacking_number(pts) == 3
+    assert len(rankings) == 1
 
 
 def test_plane_op_ranks_once_and_builds_each_graph_once(tmp_path, monkeypatch):

@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import naive_best_witness, pts1d, pts2d
+from helpers import naive_best_witness, pts1d, pts2d, reference_oracle_report, reference_violation_scan
 from multipack import (
     BudgetExceededError,
+    GeneralPositionError,
     NeighborTable,
     Violation,
     bruteforce_max_r_multipacking,
@@ -18,6 +22,7 @@ from multipack import (
     multipacking_number,
     save_witness,
 )
+from multipack import multipacking
 from multipack.geometry import nearest_profile
 from multipack.instances import random_point_set
 
@@ -119,6 +124,78 @@ def test_oracle_size_guard():
     for oracle in (bruteforce_profile, multipacking_number):
         with pytest.raises(BudgetExceededError, match="exceeds brute-force limit 16"):
             oracle(seventeen)
+
+
+def test_oracle_ceiling_holds_whatever_the_limit(monkeypatch):
+    """Past ORACLE_CEILING_N the oracle raises before it ranks or allocates anything."""
+    assert multipacking.ORACLE_CEILING_N == 24
+
+    def forbidden(*args):
+        raise AssertionError("the oracle started work past its ceiling")
+
+    monkeypatch.setattr(multipacking, "nearest_profile", forbidden)
+    monkeypatch.setattr(multipacking, "_violation_radius_scan", forbidden)
+    big = random_point_set(34, dim=2, seed=34, audit="none")
+    for limit_n in (16, 24, 25, 40, 10**6):
+        with pytest.raises(BudgetExceededError, match=f"n=34 exceeds brute-force limit {min(limit_n, 24)}"):
+            bruteforce_max_r_multipacking(big, 3, limit_n=limit_n)
+    with pytest.raises(AssertionError, match="past its ceiling"):  # 24 points pass the size check
+        bruteforce_max_r_multipacking(random_point_set(24, dim=2, seed=24, audit="none"), 3, limit_n=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+    small_grid=st.booleans(),
+)
+def test_oracle_matches_reference_scan(n, dim, seed, small_grid):
+    """Every report, full profile and width-r tables alike, equals the earlier scan's.
+
+    A grid of n * n leaves ties in many draws: those still run every radius
+    whose table is tie-free, the narrowed tables that a full profile rejects.
+    """
+    pts = random_point_set(n, dim=dim, seed=seed, grid=n * n if small_grid else None, audit="none")
+    for r in range(1, n):
+        try:
+            table = NeighborTable(order=tuple(nearest_profile(pts, r)))
+        except GeneralPositionError:
+            break
+        expected = reference_oracle_report(*reference_violation_scan(table), r)
+        assert bruteforce_max_r_multipacking(pts, r) == expected, r
+    else:
+        scan = reference_violation_scan(build_neighbor_table(pts))
+        assert bruteforce_profile(pts) == [reference_oracle_report(*scan, r) for r in range(1, n)]
+
+
+# SHA-1 of the JSON profile per (n, dim, seed), recorded with the earlier per-(s, v) scan
+_PROFILE_DIGESTS = {
+    (13, 1, 0): "9aa7a6e44da3187a377206019a063cfa87c75da3",
+    (13, 1, 1): "379d5d94e92a6e29d0b03b54fa7aa5fd714ce958",
+    (13, 2, 0): "df63f62183a0e269adf4f59005fb21b9b4c1db34",
+    (13, 2, 1): "19e660123077b6677f0b7a539d3c6c294b68d6d7",
+    (14, 1, 0): "06386ba0635cd5b4be9d6d62b09c0335af61053b",
+    (14, 1, 1): "d55607597b75e019108184aafc962e3a8e8e721c",
+    (14, 2, 0): "8c21be4e80c5ca971cd01c06fd8af9e434536b62",
+    (14, 2, 1): "3d3063c42da618a814c1f72dfb20603226386679",
+    (15, 1, 0): "91dd2df24a882953f49757c1ca2b19c7e078cbc3",
+    (15, 1, 1): "2b9a48badfe91637a125cdddc1cf32fa07d5f890",
+    (15, 2, 0): "da0417e276e1bd83c99dd305c664e6ac2326a472",
+    (15, 2, 1): "6a967a9858d6a6087384d0c9ba111e299f0ad349",
+    (16, 1, 0): "87e174f7d889881ba6c67e74cd04f2a0c46e218a",
+    (16, 1, 1): "9b14f53beb38ce7c8909c1b229c091ce4b08a60b",
+    (16, 2, 0): "a41348da8a4a4ea3b632ec6419744067b36a4708",
+    (16, 2, 1): "2921fe3c26cd4a0316c89d263dd7220058a3319f",
+}
+
+
+def test_oracle_profiles_are_pinned():
+    for (n, dim, seed), digest in _PROFILE_DIGESTS.items():
+        reports = bruteforce_profile(random_point_set(n, dim=dim, seed=seed))
+        assert all(report.stats == {"subsets": 2**n} for report in reports)
+        payload = json.dumps([report.to_json_dict() for report in reports])
+        assert hashlib.sha1(payload.encode()).hexdigest() == digest, (n, dim, seed)
 
 
 def test_oracle_matches_naive_enumeration():
