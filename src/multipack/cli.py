@@ -32,7 +32,6 @@ from .instances import (
 )
 from .line import greedy_max_r_multipacking_1d, lower_family_1d, upper_family_1d
 from .multipacking import (
-    ORACLE_CEILING_N,
     ORACLE_MAX_N,
     BudgetExceededError,
     bruteforce_max_r_multipacking,
@@ -55,6 +54,9 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_METHOD = 3
 EXIT_BUDGET = 4
+
+# the one radius each dedicated solver handles
+_METHOD_RADIUS = {"nng": 1, "exact": 2, "greedy": 2, "fpt": 2}
 
 
 class CliError(Exception):
@@ -109,6 +111,8 @@ def cmd_solve(args) -> int:
             method = "exact"
         else:
             method = "bruteforce"
+    if method in _METHOD_RADIUS and r != _METHOD_RADIUS[method]:
+        raise CliError(EXIT_METHOD, "method", f"{method} solves r={_METHOD_RADIUS[method]} only, got r={r}")
     started = time.perf_counter()
     if method == "greedy1d":
         if pts.dim != 1:
@@ -117,20 +121,12 @@ def cmd_solve(args) -> int:
             raise CliError(EXIT_METHOD, "method", "greedy1d needs n >= 2")
         payload = greedy_max_r_multipacking_1d(pts, r).to_json_dict()
     elif method == "nng":
-        if r != 1:
-            raise CliError(EXIT_METHOD, "method", f"nng solves r=1 only, got r={r}")
         payload = max_1_multipacking(pts).to_json_dict()
     elif method == "exact":
-        if r != 2:
-            raise CliError(EXIT_METHOD, "method", f"exact solves r=2 only, got r={r}")
         payload = max_2_multipacking_exact(pts, max_nodes=args.budget).to_json_dict()
     elif method == "greedy":
-        if r != 2:
-            raise CliError(EXIT_METHOD, "method", f"greedy solves r=2 only, got r={r}")
         payload = greedy_2_multipacking(pts).to_json_dict()
     elif method == "fpt":
-        if r != 2:
-            raise CliError(EXIT_METHOD, "method", f"fpt solves r=2 only, got r={r}")
         if args.k is None or args.k < 1:
             raise CliError(EXIT_METHOD, "method", "fpt needs --k >= 1")
         if args.k > n:
@@ -139,7 +135,7 @@ def cmd_solve(args) -> int:
         if payload["size"] == 0:
             payload = {"found": False, **payload}
     else:  # bruteforce fallback for radii no dedicated solver covers
-        payload = bruteforce_max_r_multipacking(pts, r, limit_n=args.limit_n).to_json_dict()
+        payload = bruteforce_max_r_multipacking(pts, r).to_json_dict()
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     _emit(payload, args.out)
     _note(f"solve: method={payload['method']} size={payload['size']} elapsed={elapsed_ms:.1f}ms")
@@ -333,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="target size (fpt only)")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--budget", type=int, default=10_000_000, help="search node budget")
-    p.add_argument("--limit-n", dest="limit_n", type=int, default=ORACLE_MAX_N,
-                   help=f"oracle fallback size cap; never above {ORACLE_CEILING_N}")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="validate a witness set")

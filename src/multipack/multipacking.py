@@ -4,10 +4,10 @@ A set of indices M is an r-multipacking of a point set P when, for every
 point v and every s in 1..r, the closed s-neighborhood of v (v plus its s
 nearest points) contains at most floor((s+1)/2) members of M.  The checker
 walks neighborhoods incrementally in O(n*r); the oracle is the ground truth
-the solvers are tested against.  It rules out every subset of P breaking an
-s = 1 bound with one vectorized pass over all 2^n, then tests each larger s
-only on the subsets still in play, so its cost is a few passes over 2^n
-entries.
+the solvers are tested against and the only exact solver for r >= 3.  It
+rules out every subset breaking an s = 1 bound with one vectorized pass over
+all 2^n, then tests each larger s only on the subsets still in play, so its
+cost is a few passes over 2^n entries.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ import numpy as np
 from .geometry import NeighborTable, PointSet, build_neighbor_table, nearest_profile
 
 
-# largest n the 2^n subset scan accepts by default
-ORACLE_MAX_N = 16
-# largest n it accepts whatever the caller's limit: at n = 24 the scan holds
-# ~200 MiB of arrays, and each further point doubles that
-ORACLE_CEILING_N = 24
+# largest n the 2^n subset scan accepts: at n = 24 it holds ~200 MiB of
+# arrays and takes ~1 s, and each further point doubles both
+ORACLE_MAX_N = 24
 
 
 class BudgetExceededError(RuntimeError):
@@ -190,31 +188,30 @@ def _report_for_radius(scan: tuple[int, np.ndarray, np.ndarray, np.ndarray], r: 
     )
 
 
-def _check_oracle_size(n: int, limit_n: int) -> None:
-    limit = min(limit_n, ORACLE_CEILING_N)
-    if n > limit:
-        raise BudgetExceededError(f"n={n} exceeds brute-force limit {limit}")
+def _check_oracle_size(n: int) -> None:
+    if n > ORACLE_MAX_N:
+        raise BudgetExceededError(f"n={n} exceeds brute-force limit {ORACLE_MAX_N}")
 
 
 def bruteforce_profile(pts: PointSet) -> list[SolveReport]:
     """Exact maximum r-multipacking for every r in 1..n-1 from one subset scan."""
     n = pts.n
-    _check_oracle_size(n, ORACLE_MAX_N)
+    _check_oracle_size(n)
     if n < 2:
         raise ValueError("profile needs n >= 2")
     scan = _violation_radius_scan(build_neighbor_table(pts))
     return [_report_for_radius(scan, r) for r in range(1, n)]
 
 
-def bruteforce_max_r_multipacking(pts: PointSet, r: int, limit_n: int = ORACLE_MAX_N) -> SolveReport:
+def bruteforce_max_r_multipacking(pts: PointSet, r: int) -> SolveReport:
     """Exact maximum r-multipacking; witness is the lexicographically smallest.
 
-    Scans all 2^n subsets (vectorized), so n is capped by limit_n, and
-    never above ORACLE_CEILING_N whatever limit_n says.  A single point is
-    its own maximum packing for any r.
+    Scans all 2^n subsets (vectorized), so n is capped by ORACLE_MAX_N,
+    checked before anything is ranked or allocated.  A single point is its
+    own maximum packing for any r.
     """
     n = pts.n
-    _check_oracle_size(n, limit_n)
+    _check_oracle_size(n)
     if n == 1:
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")

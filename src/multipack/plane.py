@@ -202,7 +202,7 @@ def forest_max_independent_set(graph: ConflictGraph) -> tuple[int, ...]:
 def max_1_multipacking(pts: PointSet) -> SolveReport:
     """Maximum 1-multipacking via the nearest-neighbor forest."""
     if pts.n == 1:
-        return SolveReport(size=1, indices=(0,), r=1, method="nng", stats={"components": 1})
+        return SolveReport(size=1, indices=(0,), r=1, method="nng", stats={"components": 1, "edges": 0})
     graph = build_nearest_neighbor_graph(pts)
     witness = forest_max_independent_set(graph)
     edges = sum(map(len, graph.adj)) // 2

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multipack
 from multipack import (
     lower_family_1d,
     pentagon_five,
@@ -113,22 +118,40 @@ def test_solve_error_codes(lower6, quad, tmp_path, capsys):
     assert code == 3
     code, _, err = run(capsys, "solve", "--input", quad, "--r", "2", "--method", "greedy1d")
     assert code == 3
-    code, _, err = run(capsys, "solve", "--input", quad, "--r", "1", "--method", "exact")
-    assert code == 3
     code, _, err = run(capsys, "solve", "--input", quad, "--r", "2", "--method", "fpt")
     assert code == 3
-    code, _, err = run(capsys, "solve", "--input", quad, "--r", "3", "--limit-n", "3")
-    assert code == 4 and json.loads(err)["kind"] == "budget"
+    for method, r, radius in (("nng", "2", 1), ("exact", "1", 2), ("greedy", "1", 2), ("fpt", "3", 2)):
+        code, out, err = run(capsys, "solve", "--input", quad, "--r", r, "--method", method, "--k", "9")
+        assert (code, out) == (3, "")
+        assert err == json.dumps({"error": f"{method} solves r={radius} only, got r={r}", "kind": "method"}) + "\n"
+    p25 = tmp_path / "p25.csv"
+    save_points_csv(random_point_set(25, seed=25), p25)
+    code, _, err = run(capsys, "solve", "--input", str(p25), "--r", "3")
+    assert code == 4 and json.loads(err) == {"error": "n=25 exceeds brute-force limit 24", "kind": "budget"}
 
 
-def test_solve_oracle_ceiling_overrides_limit_n(tmp_path, capsys):
-    """--limit-n above the oracle's ceiling still exits 4 before the 2^n scan allocates."""
+def test_solve_oracle_size_limit_exits_4(tmp_path, capsys):
+    """Past the oracle's size limit solve exits 4 before the 2^n scan allocates."""
     path = tmp_path / "p34.csv"
     save_points_csv(random_point_set(34, seed=34), path)
     for method in ("auto", "bruteforce"):
-        code, out, err = run(capsys, "solve", "--input", str(path), "--r", "3", "--method", method, "--limit-n", "40")
+        code, out, err = run(capsys, "solve", "--input", str(path), "--r", "3", "--method", method)
         assert (code, out) == (4, "")
         assert json.loads(err) == {"error": "n=34 exceeds brute-force limit 24", "kind": "budget"}
+
+
+def test_solve_r3_on_twenty_points_is_checked(tmp_path, capsys):
+    """auto takes the oracle for r >= 3 up to its limit, and check accepts the witness."""
+    path = tmp_path / "p20.csv"
+    save_points_csv(random_point_set(20, seed=20), path)
+    witness = tmp_path / "witness.json"
+    code, _, _ = run(capsys, "solve", "--input", str(path), "--r", "3", "--out", str(witness))
+    assert code == 0
+    report = json.loads(witness.read_text())
+    assert report["method"] == "bruteforce" and report["stats"] == {"subsets": 2**20}
+    code, out, _ = run(capsys, "check", "--input", str(path), "--set", str(witness))
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "r": 3, "size": report["size"]}
 
 
 def test_solve_rejects_malformed_csv(tmp_path, capsys):
@@ -336,7 +359,7 @@ def test_bench_deterministic_without_timing(tmp_path, capsys):
 
 
 def test_bench_rejects_oversized_oracle_range(tmp_path, capsys):
-    code, _, _ = run(capsys, "bench", "--family", "random1d", "--n-max", "20",
+    code, _, _ = run(capsys, "bench", "--family", "random1d", "--n-max", "25",
                      "--report", str(tmp_path / "x.csv"))
     assert code == 3
 
@@ -440,6 +463,22 @@ def test_one_point_solve_then_check(tmp_path, capsys, text):
     assert json.loads(out) == {"valid": True, "r": 1, "size": 1}
 
 
+def test_cli_leaves_scipy_unimported_on_a_line(tmp_path):
+    """scipy.spatial costs about half a second to import, so a 1D solve must not pull it in."""
+    points = tmp_path / "line.csv"
+    save_points_csv(lower_family_1d(12), points)
+    script = (
+        "import sys, multipack, multipack.cli\n"
+        f"assert multipack.cli.main(['solve', '--input', {str(points)!r}, '--out', {str(tmp_path / 'w.json')!r}]) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(multipack.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert done.stdout == "False\n"
+
+
 _ODD_INPUTS = {
     "null.json": "null",
     "list.json": "[]",
@@ -495,7 +534,7 @@ def test_cli_never_shows_a_traceback(tmp_path, capsys):
          "--report", str(tmp_path / "bench.csv"))
         for family in ("random1d", "random2d") for lo in ("1", "2", "3")
     ]
-    calls += [("solve", "--input", str(inputs[-1]), "--r", "3", "--limit-n", "40")]
+    calls += [("solve", "--input", str(inputs[-1]), "--r", "3")]
     for i, path in enumerate(map(str, inputs)):
         solved = tmp_path / f"solved{i}.json"
         calls += [("solve", "--input", path, "--r", r) for r in ("full", "1", "2")]

@@ -16,6 +16,7 @@ from multipack import (
     bruteforce_max_r_multipacking,
     bruteforce_profile,
     build_neighbor_table,
+    greedy_max_r_multipacking_1d,
     is_r_multipacking,
     load_witness,
     max_2_multipacking_exact,
@@ -117,30 +118,42 @@ def test_multipacking_number_any_three_points():
 
 
 def test_oracle_size_guard():
-    pts = pts1d(0, 2, 5, 11, 23)
-    with pytest.raises(BudgetExceededError):
-        bruteforce_max_r_multipacking(pts, 2, limit_n=4)
-    seventeen = random_point_set(17, dim=2, seed=0)
-    for oracle in (bruteforce_profile, multipacking_number):
-        with pytest.raises(BudgetExceededError, match="exceeds brute-force limit 16"):
-            oracle(seventeen)
+    assert multipacking.ORACLE_MAX_N == 24
+    big = random_point_set(25, dim=2, seed=0, audit="none")
+    for oracle in (bruteforce_profile, multipacking_number, lambda pts: bruteforce_max_r_multipacking(pts, 3)):
+        with pytest.raises(BudgetExceededError, match="^n=25 exceeds brute-force limit 24$"):
+            oracle(big)
 
 
-def test_oracle_ceiling_holds_whatever_the_limit(monkeypatch):
-    """Past ORACLE_CEILING_N the oracle raises before it ranks or allocates anything."""
-    assert multipacking.ORACLE_CEILING_N == 24
+def test_oracle_raises_before_any_work_past_its_limit(monkeypatch):
+    """Past ORACLE_MAX_N the oracle raises before it ranks or allocates anything."""
 
     def forbidden(*args):
-        raise AssertionError("the oracle started work past its ceiling")
+        raise AssertionError("the oracle started work past its limit")
 
     monkeypatch.setattr(multipacking, "nearest_profile", forbidden)
+    monkeypatch.setattr(multipacking, "build_neighbor_table", forbidden)
     monkeypatch.setattr(multipacking, "_violation_radius_scan", forbidden)
-    big = random_point_set(34, dim=2, seed=34, audit="none")
-    for limit_n in (16, 24, 25, 40, 10**6):
-        with pytest.raises(BudgetExceededError, match=f"n=34 exceeds brute-force limit {min(limit_n, 24)}"):
-            bruteforce_max_r_multipacking(big, 3, limit_n=limit_n)
-    with pytest.raises(AssertionError, match="past its ceiling"):  # 24 points pass the size check
-        bruteforce_max_r_multipacking(random_point_set(24, dim=2, seed=24, audit="none"), 3, limit_n=40)
+    for n in (25, 34):
+        big = random_point_set(n, dim=2, seed=n, audit="none")
+        for oracle in (bruteforce_profile, lambda pts: bruteforce_max_r_multipacking(pts, 3)):
+            with pytest.raises(BudgetExceededError, match=f"^n={n} exceeds brute-force limit 24$"):
+                oracle(big)
+    at_limit = random_point_set(24, dim=2, seed=24, audit="none")
+    for oracle in (bruteforce_profile, lambda pts: bruteforce_max_r_multipacking(pts, 3)):
+        with pytest.raises(AssertionError, match="past its limit"):  # 24 points pass the size check
+            oracle(at_limit)
+
+
+def test_oracle_cross_checks_past_sixteen_points():
+    """Above the old n = 16 cap the oracle still agrees with both exact solvers."""
+    for n, seed in itertools.product(range(17, 23), (0, 1)):
+        line = random_point_set(n, dim=1, seed=seed)
+        greedy, oracle = greedy_max_r_multipacking_1d(line, n - 1), bruteforce_max_r_multipacking(line, n - 1)
+        assert greedy.size == oracle.size, (n, seed)
+        plane = random_point_set(n, dim=2, seed=seed)
+        exact, oracle = max_2_multipacking_exact(plane), bruteforce_max_r_multipacking(plane, 2)
+        assert (exact.size, exact.indices) == (oracle.size, oracle.indices), (n, seed)
 
 
 @settings(max_examples=150, deadline=None)

@@ -186,6 +186,8 @@ def test_derived_data_of_another_point_set_is_rejected(call, message):
 def test_max_1_multipacking_examples():
     assert max_1_multipacking(QUAD).size == 2
     assert max_1_multipacking(pts2d((0, 0), (9, 2))).size == 1
+    one = max_1_multipacking(pts2d((5, 7)))
+    assert (one.indices, one.stats) == ((0,), {"components": 1, "edges": 0})
 
 
 def test_max_1_multipacking_pentagon():
