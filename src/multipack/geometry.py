@@ -44,6 +44,8 @@ class ParseError(ValueError):
 
 
 def _normalize(value: Coord) -> Coord:
+    if type(value) is int:  # the common case, without the ABC check below
+        return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return value
@@ -216,7 +218,7 @@ def _ranking(pts: PointSet) -> _Ranking:
 
 
 def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort each row's candidates (ascending index order) by exact distance.
+    """Sort each row's candidates by exact distance, ties in candidate order.
 
     A line ranks by |dx|, which orders and ties exactly as dx^2 does; the
     plane ranks by squared distance.
@@ -228,7 +230,7 @@ def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> tuple[np
         diff *= diff
         dist = diff.sum(axis=2)
     del diff
-    order = np.argsort(dist, axis=1, kind="stable")  # stable: ties stay in index order
+    order = np.argsort(dist, axis=1, kind="stable")  # stable: ties stay in candidate order
     return np.take_along_axis(dist, order, axis=1), np.take_along_axis(cand, order, axis=1)
 
 
@@ -236,41 +238,47 @@ def _ranked_rows(pts: PointSet, keep: int):
     """Yield (first, dist, idx) blocks of exactly ranked neighbor rows.
 
     Row i of a block belongs to point first + i; its columns are in
-    ascending distance, ties broken by index.  Column 0 is the point itself
-    (distance 0) and columns 1..width are its width nearest neighbors, with
-    the same width >= keep in every block.  Candidates are all points, or:
-    - on a line, the 2*keep+1 places around the point in sorted order, which
-      hold its keep nearest (any point farther along has keep points
-      strictly between); width is keep;
-    - in the plane, when float64 holds every coordinate exactly (span
-      < 2^53), the point and the k-d tree's keep + 5 nominees, on each row
+    ascending distance.  Column 0 is the point itself (distance 0) and
+    columns 1..width are its width nearest neighbors, with the same width
+    >= keep in every block.  Tied columns are in candidate order: callers
+    sort a tied group before they report it.
+    - A line always ranks the min(2*keep+1, n) places around the point in
+      sorted order, which hold its keep nearest (any point farther along
+      has keep points strictly between); width is keep.  The candidates are
+      the point, its left neighbors going outward, then its right ones: two
+      ascending runs of |dx|, which the stable sort merges in linear time,
+      so a full-width row costs O(n) comparisons, not a sort.
+    - The plane, when float64 holds every coordinate exactly (span < 2^53),
+      ranks the point and the k-d tree's keep + 5 nominees, on each row
       where a float guard proves they contain every point that can rank
       within the first keep + 4; width is keep + 4, every column the guard
-      can certify.
-    Ranked over all points, width is keep: a wider prefix would cost n^2.
+      can certify.  Other rows rank all points in index order, and width
+      is keep: a wider prefix would cost n^2.
     """
     n = pts.n
     arr, span = _ranking(pts).coords
     everyone = np.arange(n)
     # rows per block: ~2^20 int64 entries, or ~2^12 Python ints (each ~100 bytes)
     budget = 1 << 20 if arr.dtype == np.int64 else 1 << 12
-    if pts.dim == 1 and 2 * keep + 1 < n:
-        window = 2 * keep + 1
+    if pts.dim == 1:
+        window = min(2 * keep + 1, n)
         by_x = np.argsort(arr[:, 0], kind="stable")
         place = np.empty(n, dtype=np.intp)
         place[by_x] = everyone
+        step = np.arange(window)
         chunk = max(1, budget // window)
         for first in range(0, n, chunk):
             rows = everyone[first : first + chunk]
-            start = np.clip(place[rows] - keep, 0, n - window)
-            cand = np.sort(by_x[start[:, None] + np.arange(window)], axis=1)
+            at = place[rows, None]
+            start = np.clip(at - keep, 0, n - window)
+            cand = by_x[np.where(step <= at - start, at - step, start + step)]
             dist, idx = _exact_sort(arr, rows, cand)
             yield first, dist[:, : keep + 1], idx[:, : keep + 1]
         return
     query_k = keep + 6  # self, the kept prefix, and slack for the guard
     width = keep
     nominees = None
-    if pts.dim == 2 and span < 2**53 and query_k < n:
+    if span < 2**53 and query_k < n:
         from scipy.spatial import cKDTree  # imported on first use: it takes ~0.4 s to load
 
         flt = arr.astype(np.float64)
@@ -322,7 +330,7 @@ def _rank(pts: PointSet, keep: int, ties: list | None = None) -> None:
         for row in np.flatnonzero(first_tie < prefix.shape[1] - 1).tolist():
             ranked = zip(prefix[row].tolist(), idx[row, 1:].tolist())
             for _, group in groupby(ranked, key=itemgetter(0)):
-                tied_points = [u for _, u in group]
+                tied_points = sorted(u for _, u in group)
                 ties.extend((first + row, a, b) for a, b in combinations(tied_points, 2))
     ranking = _ranking(pts)
     if ranking.order is None or ranking.order.shape[1] < orders[0].shape[1]:
@@ -343,7 +351,8 @@ def nearest_order(pts: PointSet, k: int) -> np.ndarray:
     if tied_rows.size:
         row = int(tied_rows[0])
         col = int(ranking.first_tie[row])
-        raise GeneralPositionError((row, int(ranking.order[row, col]), int(ranking.order[row, col + 1])))
+        a, b = sorted(ranking.order[row, col : col + 2].tolist())
+        raise GeneralPositionError((row, a, b))
     order = ranking.order[:, : min(k, pts.n - 1)]
     order.flags.writeable = False  # a view of the prefix every later request reads
     return order
@@ -363,9 +372,11 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     leaves at full width.  A request no wider than that prefix slices it,
     and a wider one re-ranks and replaces it.  The k-d tree keeps
     every column its float guard certifies, k + 5 of them, so one planar
-    ranking for k serves every request up to k + 4; a line window or a
-    ranking over all points keeps k + 1 columns.  Ties are checked per
-    request, within the requested width only.
+    ranking for k serves every request up to k + 4; a planar ranking over
+    all points keeps k + 1 columns.  A line always ranks each point's
+    min(2k+3, n) places around it in sorted order, in time linear in that
+    window, and keeps k + 1 columns.  Ties are checked per request, within
+    the requested width only.
     """
     order = nearest_order(pts, k)
     profile: list[tuple[int, ...]] = []

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import PointSet, nearest_profile
+from .geometry import PointSet, nearest_order
 from .multipacking import SolveReport
 
 
@@ -25,7 +25,10 @@ def greedy_max_r_multipacking_1d(pts: PointSet, r: int) -> SolveReport:
     in N_s[v]; u is kept when every one of them has slack left.  After
     ranking each point's r nearest neighbors, deciding u reads one integer
     per row that ranks it (n*(r+1) reads over the sweep), and keeping u
-    rewrites those rows, O(r) integers each.  Memory is O(n*r).
+    rewrites those rows, O(r) integers each.  Memory is O(n*r).  At
+    r = n - 1 every row ranks every point, so each kept point rewrites all
+    n rows of n - 1 integers; with at least floor(n/3) points kept, the keep
+    updates total about n^3/3 integer writes or more.
     """
     if pts.dim != 1:
         raise ValueError(f"greedy sweep needs dimension 1, got {pts.dim}")
@@ -33,7 +36,7 @@ def greedy_max_r_multipacking_1d(pts: PointSet, r: int) -> SolveReport:
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in 1..{n - 1}, got {r}")
     # ranked[v, k] is v's k-th nearest point; column 0 is v itself
-    profile = np.array(nearest_profile(pts, r), dtype=np.int32)
+    profile = nearest_order(pts, r).astype(np.int32)
     ranked = np.column_stack((np.arange(n, dtype=np.int32), profile))
     # where each point is ranked: slots[bounds[u]:bounds[u + 1]] are the flat
     # positions v*(r+1) + k with ranked[v, k] == u, kept in the narrowest

@@ -169,7 +169,9 @@ def test_neighbor_table_rows_cover_all_other_points():
 
 
 def test_general_position_midpoint_violation():
-    assert assert_general_position(pts1d(0, 1, 2)) == [(1, 0, 2)]
+    # point 1's tied neighbors: the smaller index on its left, then on its right
+    for pts in (pts1d(0, 1, 2), pts1d(2, 1, 0)):
+        assert assert_general_position(pts) == [(1, 0, 2)], pts
 
 
 def test_general_position_clean():
@@ -183,9 +185,11 @@ def test_general_position_unit_square():
 
 
 def test_build_neighbor_table_raises_on_tie():
-    with pytest.raises(GeneralPositionError) as info:
-        build_neighbor_table(pts1d(0, 1, 2))
-    assert info.value.triple == (1, 0, 2)
+    # point 1's tied neighbors: the smaller index on its left, then on its right
+    for pts in (pts1d(0, 1, 2), pts1d(2, 1, 0)):
+        with pytest.raises(GeneralPositionError) as info:
+            build_neighbor_table(pts)
+        assert info.value.triple == (1, 0, 2), pts
 
 
 def test_neighbor_order_translation_and_scale_invariant():
@@ -252,8 +256,9 @@ def test_nearest_profile_matches_reference(monkeypatch):
     """Every ranking path against plain sorting, and which rows fell back to all points.
 
     The k-d tree keeps k + 5 certified columns, so its ranking for k = 1
-    serves k = 2 and 3 too; a line window and a ranking over all points keep
-    k + 1 columns, so each wider k ranks again.
+    serves k = 2 and 3 too; a planar ranking over all points keeps k + 1
+    columns, and so does a line, which always ranks the min(2k+3, n) places
+    around each point, so each wider k ranks again.
     """
     cases = {  # label: (points, rows ranked over all points per ranking, rankings for k = 1, 2, 3)
         "k-d tree at n = 60": (random_point_set(60, dim=2, seed=2), 0, 1),
@@ -313,12 +318,13 @@ _fraction_points = st.lists(st.tuples(_fraction, _fraction), min_size=2, max_siz
 _huge = st.integers(-(2**40), 2**40)
 _huge_points = st.lists(st.tuples(_huge, _huge), min_size=2, max_size=10, unique=True)
 _huge_line = st.lists(st.tuples(st.integers(-(2**61), 2**61)), min_size=2, max_size=10, unique=True)
+_object_line = st.lists(st.tuples(st.integers(-(2**80), 2**80)), min_size=2, max_size=10, unique=True)
 _tiny_points = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=3, unique=True)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    points=st.one_of(_grid_points, _line_points, _fraction_points, _huge_points, _huge_line, _tiny_points),
+    points=st.one_of(_grid_points, _line_points, _fraction_points, _huge_points, _huge_line, _object_line, _tiny_points),
     k=st.integers(1, 12),
 )
 def test_nearest_profile_property(points, k):
@@ -345,7 +351,7 @@ _fraction_line = st.lists(st.tuples(_fraction), min_size=2, max_size=10, unique=
 
 @settings(max_examples=300, deadline=None)
 @given(
-    points=st.one_of(_grid_points, _line_points, _fraction_points, _fraction_line, _tiny_points),
+    points=st.one_of(_grid_points, _line_points, _fraction_points, _fraction_line, _object_line, _tiny_points),
     ks=st.lists(st.integers(1, 12), min_size=1, max_size=6),
     audit_first=st.booleans(),
 )
