@@ -7,7 +7,10 @@ walks neighborhoods incrementally in O(n*r); the oracle is the ground truth
 the solvers are tested against and the only exact solver for r >= 3.  It
 rules out every subset breaking an s = 1 bound with one vectorized pass over
 all 2^n, then tests each larger s only on the subsets still in play, so its
-cost is a few passes over 2^n entries.
+cost is a few passes over 2^n entries.  That scan, `_violation_radius_scan`,
+is the one subset-scan kernel: it takes a stack of equal-size point sets'
+neighbor orders, so the oracle passes a stack of one and
+`instances.scan_six_point_sets` passes a block of trials.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import NeighborTable, PointSet, build_neighbor_table, nearest_profile
+from .geometry import NeighborTable, PointSet, nearest_order
 
 
 # largest n the 2^n subset scan accepts: at n = 24 it holds ~200 MiB of
@@ -125,40 +128,53 @@ def _bit_reversed(masks: np.ndarray, n_bits: int) -> np.ndarray:
     return rev
 
 
-def _violation_radius_scan(table: NeighborTable) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def _violation_radius_scan(order: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The subsets that pass s = 1, each with the smallest s whose bound it breaks.
 
-    Returns (n, masks, first_bad_s, popcount): masks ascending, first_bad_s
-    n where no s up to the table's width is broken.  Every other subset
-    breaks s = 1, so no r >= 1 admits it.  The scan visits s in ascending
-    order over the masks still live: one that breaks the bound of some v
-    gets that s and leaves, and so does one with at most floor((s+1)/2)
-    members, which no later bound can break.  Only s = 1 reads all 2^n
-    masks (6-9% of them pass it at n = 16); the loop ends when none is
-    live.  Each step holds O(2^n) entries, never one row per point.
+    `order` is a (sets, n, width) stack of neighbor orders, one
+    `nearest_order` prefix per point set, all of one size n.  Subset `mask`
+    of set `k` has the flat id `k << n | mask`.  Returns (n, ids,
+    first_bad_s, popcount): ids ascending, so grouped by set, first_bad_s n
+    where no s up to the width is broken.  Every other subset breaks s = 1,
+    so no r >= 1 admits it.  The scan visits s in ascending order over the
+    ids still live: one that breaks the bound of some v gets that s and
+    leaves, and so does one with at most floor((s+1)/2) members, which no
+    later bound can break.  Only s = 1 reads every id (6-9% of them pass it
+    at n = 16); the loop ends when none is live.  Each step holds
+    O(sets * 2^n) entries, never one row per point.
+
+    One set reads each distinct s-neighborhood as a scalar mask, once per
+    s, as the single-set oracle always has.  A stack reads every live id's
+    own n neighborhoods in one gather per s, so a block of six-point sets
+    costs a handful of array passes, not one Python-level scan per set.
+    Ids are uint32: callers keep sets << n within 2^32.
     """
-    n = table.n
-    pop = _popcount_table(n)
-    # prefix[v][s] = mask of v plus its s nearest points
-    prefix = []
-    for v in range(n):
-        row = [1 << v]
-        for u in table.order[v]:
-            row.append(row[-1] | (1 << u))
-        prefix.append(row)
-    first_bad = np.full(1 << n, n, dtype=np.int8)  # indexed by mask
-    live = np.arange(1 << n, dtype=np.uint32)
-    for s in range(1, table.width + 1):
+    sets, n, width = order.shape
+    pop = np.tile(_popcount_table(n), sets)  # indexed by flat id
+    # prefix[k, v, s] = mask of v plus its s nearest points in set k
+    prefix = np.empty((sets, n, width + 1), dtype=np.uint32)
+    prefix[:, :, 0] = np.uint32(1) << np.arange(n)
+    prefix[:, :, 1:] = np.uint32(1) << order
+    np.bitwise_or.accumulate(prefix, axis=2, out=prefix)
+    first_bad = np.full(sets << n, n, dtype=np.int8)  # indexed by flat id
+    live = np.arange(sets << n, dtype=np.uint32)
+    for s in range(1, width + 1):
         bound = (s + 1) >> 1
-        live = live[pop[live] > bound]
+        if s & 1:  # the bound grows at odd s only
+            live = live[pop[live] > bound]
         if not live.size:
             break
-        for hood in {row[s] for row in prefix}:  # points with one s-neighborhood share a bound
-            bad = pop[live & np.uint32(hood)] > bound
-            first_bad[live[bad]] = s
-            live = live[~bad]
-    masks = np.flatnonzero(first_bad > 1).astype(np.uint32)
-    return n, masks, first_bad[masks], pop[masks]
+        if sets == 1:
+            for hood in set(prefix[0, :, s].tolist()):  # points with one s-neighborhood share a bound
+                bad = pop[live & np.uint32(hood)] > bound
+                first_bad[live[bad]] = s
+                live = live[~bad]
+            continue
+        bad = (pop[live[:, None] & prefix[live >> n, :, s]] > bound).any(axis=1)
+        first_bad[live[bad]] = s
+        live = live[~bad]
+    ids = np.flatnonzero(first_bad > 1).astype(np.uint32)
+    return n, ids, first_bad[ids], pop[ids]
 
 
 def _mask_to_indices(mask: int) -> tuple[int, ...]:
@@ -199,7 +215,7 @@ def bruteforce_profile(pts: PointSet) -> list[SolveReport]:
     _check_oracle_size(n)
     if n < 2:
         raise ValueError("profile needs n >= 2")
-    scan = _violation_radius_scan(build_neighbor_table(pts))
+    scan = _violation_radius_scan(nearest_order(pts, n - 1)[None])
     return [_report_for_radius(scan, r) for r in range(1, n)]
 
 
@@ -218,7 +234,7 @@ def bruteforce_max_r_multipacking(pts: PointSet, r: int) -> SolveReport:
         return SolveReport(size=1, indices=(0,), r=r, method="bruteforce", stats={"subsets": 2})
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in 1..{n - 1}, got {r}")
-    scan = _violation_radius_scan(NeighborTable(order=tuple(nearest_profile(pts, r))))
+    scan = _violation_radius_scan(nearest_order(pts, r)[None])
     return _report_for_radius(scan, r)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -347,6 +348,23 @@ def test_bench_scan6(tmp_path, capsys):
     assert code == 0
     assert "counterexamples=0" in err
     assert len(report.read_text().splitlines()) == 16
+
+
+# SHA-1 of the scan6 CSV per (trials, seed), recorded with the earlier per-trial scan
+_SCAN6_CSV_DIGESTS = {
+    ("1000", "0"): "f18f74e6ec27eeffa0ac9f8760e703b3f350bb49",
+    ("15", "7"): "fb03b820d3d628be02edb51d28d6f51fa11783a4",
+}
+
+
+@pytest.mark.parametrize(("trials", "seed"), _SCAN6_CSV_DIGESTS)
+def test_bench_scan6_bytes_are_pinned(tmp_path, capsys, trials, seed):
+    report = tmp_path / "scan.csv"
+    code, out, err = run(capsys, "bench", "--family", "scan6", "--trials", trials, "--seed", seed,
+                         "--no-timing", "--report", str(report))
+    assert code == 0 and out == ""
+    assert err == f"bench scan6: trials={trials} min_mp=2 counterexamples=0\n"
+    assert hashlib.sha1(report.read_bytes()).hexdigest() == _SCAN6_CSV_DIGESTS[trials, seed]
 
 
 def test_bench_deterministic_without_timing(tmp_path, capsys):

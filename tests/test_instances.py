@@ -1,3 +1,8 @@
+import hashlib
+import json
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from multipack import (
@@ -13,7 +18,8 @@ from multipack import (
     search_square_fixture,
     square_four,
 )
-from multipack.instances import PENTAGON_SEED, SQUARE_SEED
+from multipack import instances
+from multipack.instances import PENTAGON_SEED, SQUARE_SEED, _scan_seed
 
 
 def test_pentagon_fixture_is_frozen():
@@ -92,6 +98,94 @@ def test_scan_six_point_sets_small_run():
     assert scan["min_mp"] >= 2
     assert scan["counterexamples"] == []
     assert len(scan["sizes"]) == 50
+
+
+def _reference_scan(trials, seed, grid, mp=multipacking_number):
+    """The per-trial scan: one `random_point_set` draw and one oracle call per trial."""
+    sets = [random_point_set(6, dim=2, seed=_scan_seed(seed, t), grid=grid) for t in range(trials)]
+    sizes = [mp(pts) for pts in sets]
+    return {
+        "checked": trials,
+        "min_mp": min(sizes),
+        "sizes": sizes,
+        "counterexamples": [
+            {"trial": t, "points": [list(p) for p in pts.points], "mp": size}
+            for t, (pts, size) in enumerate(zip(sets, sizes))
+            if size < 2
+        ],
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 41])
+def test_scan_matches_per_trial_reference(seed):
+    trials = instances._SCAN_BLOCK + 45  # a full block and a partial one
+    assert scan_six_point_sets(trials, seed) == _reference_scan(trials, seed, instances._DEFAULT_GRID)
+
+
+def _counting_draws(monkeypatch) -> list:
+    """Record every `random_point_set` call the scan makes: only redrawn trials call it."""
+    calls = []
+    draw = instances.random_point_set
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(instances, "random_point_set", counting)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [36, 40])
+def test_scan_redraws_duplicates_and_ties_through_the_library(monkeypatch, grid):
+    """On a small grid many first draws repeat a point or tie; those go back through random_point_set."""
+    expected = _reference_scan(300, 5, grid)
+    monkeypatch.setattr(instances, "_DEFAULT_GRID", grid)
+    calls = _counting_draws(monkeypatch)
+    assert scan_six_point_sets(300, 5) == expected
+    assert len(calls) > 20 and len(calls) == len(set(calls))
+
+
+def test_scan_counterexamples_carry_each_trial_points(monkeypatch):
+    """Force MP = 1 everywhere: every trial, first draw or redraw, reports the points it solved."""
+    expected = _reference_scan(40, 2, 40, mp=lambda pts: 1)
+    scan = instances._violation_radius_scan
+
+    def singletons_only(order):
+        n, ids, first_bad, pop = scan(order)
+        return n, ids, first_bad, np.minimum(pop, 1)
+
+    monkeypatch.setattr(instances, "_violation_radius_scan", singletons_only)
+    monkeypatch.setattr(instances, "multipacking_number", lambda pts: 1)
+    monkeypatch.setattr(instances, "_DEFAULT_GRID", 40)
+    calls = _counting_draws(monkeypatch)
+    assert scan_six_point_sets(40, 2) == expected
+    assert calls  # both paths ran
+
+
+# SHA-1 of json.dumps(scan_six_point_sets(2000, seed)), recorded with the per-trial scan
+_SCAN_DIGESTS = {
+    0: "42fd4be3c6ff4f2ddfa2a3f9296a46cc430a6daa",
+    1: "21a224f5e340e6825d26c9ba21c371de2529e09b",
+}
+
+
+def test_scan_results_are_pinned():
+    for seed, digest in _SCAN_DIGESTS.items():
+        assert hashlib.sha1(json.dumps(scan_six_point_sets(2000, seed)).encode()).hexdigest() == digest, seed
+
+
+def test_scan_memory_stays_flat_in_the_trial_count():
+    """Blocks bound the arrays: 16 blocks of trials peak no higher than 2 do, bar the sizes list."""
+    block = instances._SCAN_BLOCK
+    peaks = []
+    for trials in (2 * block, 16 * block):
+        tracemalloc.start()
+        try:
+            scan_six_point_sets(trials, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 16 * 16 * block, peaks  # 16 bytes per trial of slack
 
 
 def test_scan_validates_trials():

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from multipack import (
     save_witness,
 )
 from multipack import multipacking
-from multipack.geometry import nearest_profile
+from multipack.geometry import nearest_order, nearest_profile
 from multipack.instances import random_point_set
 
 POWERS = pts1d(2, 4, 8, 16)
@@ -131,8 +132,7 @@ def test_oracle_raises_before_any_work_past_its_limit(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the oracle started work past its limit")
 
-    monkeypatch.setattr(multipacking, "nearest_profile", forbidden)
-    monkeypatch.setattr(multipacking, "build_neighbor_table", forbidden)
+    monkeypatch.setattr(multipacking, "nearest_order", forbidden)
     monkeypatch.setattr(multipacking, "_violation_radius_scan", forbidden)
     for n in (25, 34):
         big = random_point_set(n, dim=2, seed=n, audit="none")
@@ -180,6 +180,31 @@ def test_oracle_matches_reference_scan(n, dim, seed, small_grid):
     else:
         scan = reference_violation_scan(build_neighbor_table(pts))
         assert bruteforce_profile(pts) == [reference_oracle_report(*scan, r) for r in range(1, n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    dim=st.sampled_from([1, 2]),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+    width=st.integers(1, 9),
+)
+def test_stacked_scan_matches_reference_per_set(n, dim, seeds, width):
+    """Each set of a stack gets the first-bad radii the earlier scan gives it alone."""
+    width = min(width, n - 1)
+    stack = [random_point_set(n, dim=dim, seed=seed) for seed in seeds]  # tie-free at every width
+    got_n, ids, first_bad, pop = multipacking._violation_radius_scan(
+        np.stack([nearest_order(pts, width) for pts in stack])
+    )
+    assert got_n == n
+    assert (np.diff(ids.astype(np.int64)) > 0).all()
+    for k, pts in enumerate(stack):
+        expected, expected_pop, _ = reference_violation_scan(NeighborTable(order=tuple(nearest_profile(pts, width))))
+        mine = ids >> n == k
+        radii = np.ones(1 << n, dtype=np.int16)  # every id the scan leaves out breaks s = 1
+        radii[ids[mine] & ((1 << n) - 1)] = first_bad[mine]
+        assert (radii == expected).all(), k
+        assert (pop[mine] == expected_pop[ids[mine] & ((1 << n) - 1)]).all(), k
 
 
 # SHA-1 of the JSON profile per (n, dim, seed), recorded with the earlier per-(s, v) scan
