@@ -3,7 +3,11 @@
 The greedy sweep visits points left to right and keeps each one whose
 addition keeps the set an r-multipacking.  On a line in general position
 this is exact, and the two generator families pin the floor(n/3) lower and
-floor(n/2) upper bound on the maximum multipacking size.
+floor(n/2) upper bound on the maximum multipacking size.  Every
+neighbourhood on a line is a run of consecutive places, so every constraint
+is a difference constraint on prefix counts: the sweep reads a static
+table of run bounds, built in O(n*r), and makes one banded minimum update
+of at most r + 1 entries per point.
 """
 
 from __future__ import annotations
@@ -19,48 +23,53 @@ from .multipacking import SolveReport
 def greedy_max_r_multipacking_1d(pts: PointSet, r: int) -> SolveReport:
     """Exact maximum r-multipacking of a 1D point set via the greedy sweep.
 
-    Points may arrive in any order; the sweep runs over coordinates ascending
-    and the witness reports original indices.  The kept set is always an
-    r-multipacking, so adding u can only break the constraints (v, s) with u
-    in N_s[v]; u is kept when every one of them has slack left.  After
-    ranking each point's r nearest neighbors, deciding u reads one integer
-    per row that ranks it (n*(r+1) reads over the sweep), and keeping u
-    rewrites those rows, O(r) integers each.  Memory is O(n*r).  At
-    r = n - 1 every row ranks every point, so each kept point rewrites all
-    n rows of n - 1 integers; with at least floor(n/3) points kept, the keep
-    updates total about n^3/3 integer writes or more.
+    Points may arrive in any order; the sweep runs over coordinates ascending,
+    keeps each point whose addition leaves the kept set an r-multipacking,
+    and reports original indices.  Number the places 0..n-1 in coordinate
+    order and let y_j count the kept points before place j.  N_s[v] is the
+    run of places [lo, lo + s], so its constraint reads
+    y_{lo+s+1} - y_lo <= floor((s+1)/2).  table[lo, d] is the bound of the
+    shortest run that starts at lo and reaches lo + d: a run's bound only
+    grows with its length, so the table is one scatter of the bounds at
+    (lo, s) and a reverse running minimum along d.  At place u the sweep
+    lowers cap[u : u + r + 1] to y_u + table[u], which leaves cap[u] the
+    least y_lo + bound over the runs that hold u, and keeps u iff
+    y_u + 1 <= cap[u].
+
+    After ranking each point's r nearest neighbors, the table build is
+    O(n*r) and the sweep is n banded minimum updates of at most r + 1
+    entries each.  Memory is the n x (r+1) table in the narrowest unsigned
+    dtype that holds n + 1, plus row blocks of about 2^20 entries.
+    stats["checks"] counts the points swept, which is n.
     """
     if pts.dim != 1:
         raise ValueError(f"greedy sweep needs dimension 1, got {pts.dim}")
     n = pts.n
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in 1..{n - 1}, got {r}")
-    # ranked[v, k] is v's k-th nearest point; column 0 is v itself
-    profile = nearest_order(pts, r).astype(np.int32)
-    ranked = np.column_stack((np.arange(n, dtype=np.int32), profile))
-    # where each point is ranked: slots[bounds[u]:bounds[u + 1]] are the flat
-    # positions v*(r+1) + k with ranked[v, k] == u, kept in the narrowest
-    # dtype that holds n*(r+1), which trims the sweep's peak memory
-    slots = np.argsort(ranked, axis=None, kind="stable").astype(np.min_scalar_type(ranked.size))
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(ranked.ravel(), minlength=n))))
-    del profile, ranked
-    # low[v, s-1] = min over t >= s of floor((t+1)/2) - |N_t[v] & kept|; the
-    # bounds rise with t, so for the empty set it is the bound at s itself
-    low = np.tile(np.arange(2, r + 2, dtype=np.int32) >> 1, (n, 1))
+    profile = nearest_order(pts, r)  # profile[v, k] is v's (k+1)-th nearest point
+    by_x = sorted(range(n), key=lambda i: pts[i][0])
+    dtype = np.min_scalar_type(n + 1)
+    place = np.empty(n, dtype=dtype)
+    place[by_x] = np.arange(n, dtype=dtype)
+    span = np.arange(1, r + 1)
+    table = np.full((n, r + 1), n + 1, dtype=dtype)  # n + 1: no such run, never binds
+    chunk = max(1, (1 << 20) // (r + 1))
+    for first in range(0, n, chunk):
+        # lo[v, s-1]: the lowest place among v and its s nearest points
+        lo = place[profile[first : first + chunk]]
+        np.minimum.accumulate(lo, axis=1, out=lo)
+        np.minimum(lo, place[first : first + chunk, None], out=lo)
+        table[lo, span] = (span + 1) >> 1
+    rev = table[:, ::-1]
+    np.minimum.accumulate(rev, axis=1, out=rev)
+    cap = np.full(n + r, n + 1, dtype=np.intp)
     kept = []
-    for u in sorted(range(n), key=lambda i: pts[i][0]):
-        rows, rank = np.divmod(slots[bounds[u] : bounds[u + 1]], r + 1)
-        cols = np.maximum(rank, 1) - 1  # u counts in N_s[v] for every s >= max(rank, 1)
-        edge = low[rows, cols]
-        if edge.min() < 1:
-            continue
-        # slack drops by one from column cols on: so does every suffix
-        # minimum from cols on, and one before cols (never above the one at
-        # cols) only when it equals it; both are the entries >= edge
-        block = low[rows]
-        block -= block >= edge[:, None]
-        low[rows] = block
-        kept.append(u)
+    for u in range(n):
+        band = cap[u : u + r + 1]
+        np.minimum(band, np.add(table[u], len(kept), dtype=np.intp), out=band)
+        if len(kept) < cap[u]:
+            kept.append(by_x[u])
     return SolveReport(
         size=len(kept),
         indices=tuple(sorted(kept)),

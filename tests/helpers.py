@@ -3,6 +3,8 @@
 import itertools
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from multipack import (
     NeighborTable,
@@ -12,7 +14,7 @@ from multipack import (
     is_r_multipacking,
     squared_distance,
 )
-from multipack.geometry import nearest_profile
+from multipack.geometry import nearest_order, nearest_profile
 
 
 def pts1d(*coords) -> PointSet:
@@ -82,6 +84,90 @@ def reference_greedy_1d(pts: PointSet, r: int) -> SolveReport:
         method="greedy1d",
         stats={"checks": checks},
     )
+
+
+def reference_slack_sweep_1d(pts: PointSet, r: int) -> SolveReport:
+    """The greedy sweep as it was before the run-bound table: a slack matrix.
+
+    The kept set is always an r-multipacking, so adding u can only break the
+    constraints (v, s) with u in N_s[v]; u is kept when every one of them
+    has slack left.  After ranking each point's r nearest neighbors,
+    deciding u reads one integer per row that ranks it (n*(r+1) reads over
+    the sweep), and keeping u rewrites those rows, O(r) integers each.
+    Memory is O(n*r).  At r = n - 1 every row ranks every point, so each
+    kept point rewrites all n rows of n - 1 integers; with at least
+    floor(n/3) points kept, the keep updates total about n^3/3 integer
+    writes or more.
+    """
+    if pts.dim != 1:
+        raise ValueError(f"greedy sweep needs dimension 1, got {pts.dim}")
+    n = pts.n
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"r must be in 1..{n - 1}, got {r}")
+    # ranked[v, k] is v's k-th nearest point; column 0 is v itself
+    profile = nearest_order(pts, r).astype(np.int32)
+    ranked = np.column_stack((np.arange(n, dtype=np.int32), profile))
+    # where each point is ranked: slots[bounds[u]:bounds[u + 1]] are the flat
+    # positions v*(r+1) + k with ranked[v, k] == u, kept in the narrowest
+    # dtype that holds n*(r+1), which trims the sweep's peak memory
+    slots = np.argsort(ranked, axis=None, kind="stable").astype(np.min_scalar_type(ranked.size))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ranked.ravel(), minlength=n))))
+    del profile, ranked
+    # low[v, s-1] = min over t >= s of floor((t+1)/2) - |N_t[v] & kept|; the
+    # bounds rise with t, so for the empty set it is the bound at s itself
+    low = np.tile(np.arange(2, r + 2, dtype=np.int32) >> 1, (n, 1))
+    kept = []
+    for u in sorted(range(n), key=lambda i: pts[i][0]):
+        rows, rank = np.divmod(slots[bounds[u] : bounds[u + 1]], r + 1)
+        cols = np.maximum(rank, 1) - 1  # u counts in N_s[v] for every s >= max(rank, 1)
+        edge = low[rows, cols]
+        if edge.min() < 1:
+            continue
+        # slack drops by one from column cols on: so does every suffix
+        # minimum from cols on, and one before cols (never above the one at
+        # cols) only when it equals it; both are the entries >= edge
+        block = low[rows]
+        block -= block >= edge[:, None]
+        low[rows] = block
+        kept.append(u)
+    return SolveReport(
+        size=len(kept),
+        indices=tuple(sorted(kept)),
+        r=r,
+        method="greedy1d",
+        stats={"checks": n},
+    )
+
+
+def shortest_path_mp_1d(pts: PointSet, r: int) -> int:
+    """MP_r of a line as a shortest path over difference constraints.
+
+    With y_j the number of members before place j (places count from 0 in
+    coordinate order), a set is an r-multipacking iff y_{lo+s+1} - y_lo <=
+    floor((s+1)/2) for every run [lo, lo + s] = N_s[v], and 0 <= y_{j+1} -
+    y_j <= 1.  The largest feasible y_n - y_0 is the shortest path from
+    place 0 to place n over the edges lo -> lo+s+1 (weight floor((s+1)/2)),
+    j -> j+1 (weight 1) and j+1 -> j (weight 0); see Cormen et al.,
+    Introduction to Algorithms, section 24.4.
+    """
+    n = pts.n
+    by_x = sorted(range(n), key=lambda i: pts[i][0])
+    place = np.empty(n, dtype=np.int64)
+    place[by_x] = np.arange(n)
+    rows = np.column_stack((place, place[nearest_order(pts, r)]))
+    lo = np.minimum.accumulate(rows, axis=1)[:, 1:]
+    hi = np.maximum.accumulate(rows, axis=1)[:, 1:]
+    assert (hi - lo == np.arange(1, r + 1)).all(), "a neighbourhood is not a run of places"
+    # one edge per distinct run: the sparse build sums duplicate entries
+    runs = np.unique(lo * (n + 1) + hi + 1)
+    steps = np.arange(n)
+    tails = np.concatenate((runs // (n + 1), steps, steps + 1))
+    heads = np.concatenate((runs % (n + 1), steps + 1, steps))
+    weights = np.concatenate(((runs % (n + 1) - runs // (n + 1)) // 2, np.ones(n), np.zeros(n)))
+    # explicit zeros are edges to csgraph, so the back edges must survive the build
+    graph = csr_matrix((weights, (tails, heads)), shape=(n + 1, n + 1))
+    assert graph.nnz == len(weights)
+    return int(dijkstra(graph, indices=0)[n])
 
 
 def assert_valid(pts, indices, r):

@@ -1,13 +1,20 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pts1d, pts2d, reference_greedy_1d
+from helpers import (
+    pts1d,
+    pts2d,
+    reference_greedy_1d,
+    reference_slack_sweep_1d,
+    shortest_path_mp_1d,
+)
 from multipack import (
     GeneralPositionError,
     NeighborTable,
@@ -148,6 +155,73 @@ def test_family_witnesses_are_pinned():
         report = greedy_max_r_multipacking_1d(pts, pts.n - 1)
         assert report.stats == {"checks": pts.n}, label
         assert hashlib.sha1(json.dumps(list(report.indices)).encode()).hexdigest() == digest, label
+
+
+def _radii(n: int) -> tuple:
+    return (1, 2, 7, n - 1)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_greedy_matches_slack_sweep_on_long_lines(n):
+    # the full-checker reference is O(n^2 * r), so past n = 40 the sweep is
+    # compared with the slack-matrix sweep it replaced
+    pts = random_point_set(n, dim=1, seed=n)
+    for r in _radii(n):
+        assert greedy_max_r_multipacking_1d(pts, r) == reference_slack_sweep_1d(pts, r), r
+
+
+def test_shortest_path_oracle_matches_bruteforce():
+    for seed in range(40):
+        n = 2 + seed % 11
+        pts = random_point_set(n, dim=1, seed=seed)
+        for r in range(1, n):
+            assert shortest_path_mp_1d(pts, r) == bruteforce_max_r_multipacking(pts, r).size
+
+
+def test_shortest_path_oracle_keeps_the_back_edges():
+    # a path restricted to forward edges lets y fall between runs and reads 5
+    pts = pts1d(92051, 290840, 354694, 365670, 466167, 560680, 583435, 679703,
+                722286, 763720, 856179)
+    for r in (2, 3):
+        assert shortest_path_mp_1d(pts, r) == 4 == bruteforce_max_r_multipacking(pts, r).size
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_greedy_is_optimal_on_long_lines(n):
+    pts = random_point_set(n, dim=1, seed=n + 1)
+    for r in _radii(n):
+        assert greedy_max_r_multipacking_1d(pts, r).size == shortest_path_mp_1d(pts, r), r
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_full_radius_optimum_within_line_bounds(n):
+    for seed in range(3):
+        mp = shortest_path_mp_1d(random_point_set(n, dim=1, seed=seed), n - 1)
+        assert n // 3 <= mp <= n // 2
+
+
+def test_family_optima_from_shortest_path_oracle():
+    lower, upper = lower_family_1d(300), upper_family_1d(299)
+    assert shortest_path_mp_1d(lower, 299) == 100 == 300 // 3
+    assert shortest_path_mp_1d(upper, 298) == 149 == 299 // 2
+    assert greedy_max_r_multipacking_1d(lower, 299).size == 100
+    assert greedy_max_r_multipacking_1d(upper, 298).size == 149
+
+
+def test_greedy_full_radius_memory_stays_narrow():
+    # the slack-matrix sweep peaked at 76 MiB here; the run-bound table is
+    # n x n uint16 (7.6 MiB)
+    n = 2000
+    pts = random_point_set(n, dim=1, seed=7)
+    expected = shortest_path_mp_1d(pts, n - 1)  # ranks pts at full width first
+    tracemalloc.start()
+    try:
+        report = greedy_max_r_multipacking_1d(pts, n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.size == expected
+    assert peak <= 64 * 2**20, peak
 
 
 def test_greedy_long_line_small_radius():
