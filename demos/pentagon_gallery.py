@@ -12,13 +12,13 @@ from pathlib import Path
 
 from multipack import (
     PointSet,
-    build_neighbor_table,
     multipacking_number,
     pentagon_five,
     render_to_file,
     scan_six_point_sets,
     square_four,
 )
+from multipack.geometry import nearest_order
 
 OUT = Path(__file__).resolve().parent / "out"
 
@@ -27,11 +27,9 @@ def main():
     OUT.mkdir(exist_ok=True)
 
     pent = pentagon_five()
-    table = build_neighbor_table(pent)
     print("pentagon fixture:", list(pent.points))
     print("cyclic nearest-neighbor structure:")
-    for i in range(5):
-        a, b = table.order[i][:2]
+    for i, (a, b) in enumerate(nearest_order(pent, 2).tolist()):
         print(f"  point {i}: two nearest are {a} and {b}")
     print(f"multipacking number: {multipacking_number(pent)}")
 

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -144,6 +144,8 @@ class NeighborTable:
     order[v] holds v's nearest neighbors up to the table's width (n-1 for a
     full table); order[v][s-1] is the s-th nearest neighbor of v, so for
     s <= width the closed s-neighborhood of v is v plus the first s entries.
+    Its one reader, `_prefix(n, k)`, raises ValueError unless there are n
+    rows, k is in 1..n-1 and every row starts with k integers in 0..n-1.
     """
 
     order: tuple[tuple[int, ...], ...]
@@ -156,6 +158,20 @@ class NeighborTable:
     def width(self) -> int:
         """Neighbors listed per point: n-1 for a full table."""
         return len(self.order[0]) if self.order else 0
+
+    def _prefix(self, n: int, k: int) -> np.ndarray:
+        """The first k columns as an n x k array: every r = k neighborhood."""
+        if self.n != n:
+            raise ValueError("table does not match point set")
+        if not 1 <= k <= n - 1:
+            raise ValueError(f"r must be in 1..{n - 1}, got {k}")
+        if self.width < k:
+            raise ValueError(f"table width {self.width} is below r={k}")
+        # rows cut to k first: n*k entries exactly when no row is shorter than k
+        flat = np.array(list(chain.from_iterable([row[:k] for row in self.order])))
+        if flat.dtype.kind != "i" or flat.size != n * k or flat.min() < 0 or flat.max() >= n:
+            raise ValueError("table does not match point set")
+        return flat.reshape(n, k)
 
 
 def build_neighbor_table(pts: PointSet) -> NeighborTable:

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import PointSet, _exact_sort, assert_general_position, load_points_csv, nearest_profile
+from .geometry import PointSet, _exact_sort, assert_general_position, load_points_csv, nearest_order
 from .multipacking import _violation_radius_scan, multipacking_number
 
 # jitter-search seeds that produced the frozen fixtures
@@ -52,7 +52,7 @@ def _convex_position(points: list[tuple[int, int]]) -> bool:
 
 def _cyclic_neighbor_property(pts: PointSet) -> bool:
     n = pts.n
-    pairs = nearest_profile(pts, 2)
+    pairs = nearest_order(pts, 2).tolist()
     return all(set(pairs[i]) == {(i - 1) % n, (i + 1) % n} for i in range(n))
 
 

@@ -3,14 +3,14 @@
 A set of indices M is an r-multipacking of a point set P when, for every
 point v and every s in 1..r, the closed s-neighborhood of v (v plus its s
 nearest points) contains at most floor((s+1)/2) members of M.  The checker
-walks neighborhoods incrementally in O(n*r); the oracle is the ground truth
-the solvers are tested against and the only exact solver for r >= 3.  It
-rules out every subset breaking an s = 1 bound with one vectorized pass over
-all 2^n, then tests each larger s only on the subsets still in play, so its
-cost is a few passes over 2^n entries.  That scan, `_violation_radius_scan`,
-is the one subset-scan kernel: it takes a stack of equal-size point sets'
-neighbor orders, so the oracle passes a stack of one and
-`instances.scan_six_point_sets` passes a block of trials.
+counts members along each point's table row in one O(n*r) array pass; the
+oracle is the ground truth the solvers are tested against and the only
+exact solver for r >= 3.  It rules out every subset breaking an s = 1 bound
+with one vectorized pass over all 2^n, then tests each larger s only on the
+subsets still in play, so its cost is a few passes over 2^n entries.  That
+scan, `_violation_radius_scan`, is the one subset-scan kernel: it takes a
+stack of equal-size point sets' neighbor orders, so the oracle passes a
+stack of one and `instances.scan_six_point_sets` passes a block of trials.
 """
 
 from __future__ import annotations
@@ -67,15 +67,6 @@ class SolveReport:
         }
 
 
-def _member_flags(n: int, members: Iterable[int]) -> bytearray:
-    flags = bytearray(n)
-    for i in members:
-        if not 0 <= i < n:
-            raise ValueError(f"member index {i} out of range for n={n}")
-        flags[i] = 1
-    return flags
-
-
 def is_r_multipacking(
     pts: PointSet,
     table: NeighborTable,
@@ -89,22 +80,21 @@ def is_r_multipacking(
     width >= r.
     """
     n = pts.n
-    if table.n != n:
-        raise ValueError("table does not match point set")
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"r must be in 1..{n - 1}, got {r}")
-    if table.width < r:
-        raise ValueError(f"table width {table.width} is below r={r}")
-    flags = _member_flags(n, members)
-    for v in range(n):
-        count = flags[v]
-        row = table.order[v]
-        for s in range(1, r + 1):
-            count += flags[row[s - 1]]
-            bound = (s + 1) >> 1
-            if count > bound:
-                return False, Violation(v=v, s=s, count=count, bound=bound)
-    return True, None
+    order = table._prefix(n, r)
+    marked = bytearray(n)
+    for i in members:
+        if not 0 <= i < n:
+            raise ValueError(f"member index {i} out of range for n={n}")
+        marked[i] = 1
+    flags = np.frombuffer(marked, dtype=np.uint8)
+    counts = flags[:, None] + np.cumsum(flags[order], axis=1, dtype=np.int32)  # |N_s[v] & M|
+    bounds = np.arange(2, r + 2) >> 1  # floor((s+1)/2), column s-1 as in counts
+    over = counts > bounds
+    first = int(over.argmax())  # row-major: ascending v, then ascending s
+    if not over.flat[first]:
+        return True, None
+    v, col = divmod(first, r)
+    return False, Violation(v=v, s=col + 1, count=int(counts[v, col]), bound=int(bounds[col]))
 
 
 # ---------------------------------------------------------------------------

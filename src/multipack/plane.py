@@ -138,12 +138,9 @@ def _graph(
     pts: PointSet, table: NeighborTable | None, k: int, build: Callable[[int, np.ndarray], ConflictGraph]
 ) -> ConflictGraph:
     """`build` on each point's k nearest.  Read from the set's own ranking,
-    the graph is built once and kept next to it; a table builds afresh."""
+    the graph is built once and kept next to it; a validated table builds afresh."""
     if table is not None:
-        order = np.array([row[:k] for row in table.order])
-        if table.n != pts.n or not ((order >= 0) & (order < pts.n)).all():
-            raise ValueError("table does not match point set")
-        return build(pts.n, order)
+        return build(pts.n, table._prefix(pts.n, k))
     graphs = _ranking(pts).graphs
     if k not in graphs:
         graphs[k] = build(pts.n, nearest_order(pts, k))  # a tie raises here: nothing is kept

@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .geometry import PointSet, nearest_profile, squared_distance
+from .geometry import PointSet, nearest_order, squared_distance
 
 _POINT_FILL = "#2b6cb0"
 _WITNESS_FILL = "#c53030"
@@ -46,11 +46,8 @@ def render_svg(
     if circles:
         if pts.n < 3:
             raise ValueError("second-neighbor circles need at least 3 points")
-        profile = nearest_profile(pts, 2)
-        radii = [
-            math.sqrt(float(squared_distance(pts[v], pts[profile[v][1]])))
-            for v in range(pts.n)
-        ]
+        second = nearest_order(pts, 2)[:, 1].tolist()
+        radii = [math.sqrt(float(squared_distance(pts[v], pts[u]))) for v, u in enumerate(second)]
     xs_lo = min(c[0] - r for c, r in zip(coords, radii))
     xs_hi = max(c[0] + r for c, r in zip(coords, radii))
     ys_lo = min(c[1] - r for c, r in zip(coords, radii))

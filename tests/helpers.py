@@ -10,6 +10,7 @@ from multipack import (
     NeighborTable,
     PointSet,
     SolveReport,
+    Violation,
     build_neighbor_table,
     is_r_multipacking,
     squared_distance,
@@ -168,6 +169,61 @@ def shortest_path_mp_1d(pts: PointSet, r: int) -> int:
     graph = csr_matrix((weights, (tails, heads)), shape=(n + 1, n + 1))
     assert graph.nnz == len(weights)
     return int(dijkstra(graph, indices=0)[n])
+
+
+def reference_check(pts, table, members, r):
+    """The checker as it was: a Python loop over the table, n*r entries.
+
+    Returns (True, None) or (False, first violation), scanning ascending
+    point index, then ascending s.
+    """
+    n = pts.n
+    if table.n != n:
+        raise ValueError("table does not match point set")
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"r must be in 1..{n - 1}, got {r}")
+    if table.width < r:
+        raise ValueError(f"table width {table.width} is below r={r}")
+    flags = bytearray(n)
+    for i in members:
+        if not 0 <= i < n:
+            raise ValueError(f"member index {i} out of range for n={n}")
+        flags[i] = 1
+    for v in range(n):
+        count = flags[v]
+        row = table.order[v]
+        for s in range(1, r + 1):
+            count += flags[row[s - 1]]
+            bound = (s + 1) >> 1
+            if count > bound:
+                return False, Violation(v=v, s=s, count=count, bound=bound)
+    return True, None
+
+
+MALFORMED_TABLES = ("negative-entry", "entry-past-n", "float-entry", "short-later-row", "narrow", "unequal-rows")
+
+
+def malformed_table(pts, case, k):
+    """A table of `pts` that a width-k read must reject, and the message it raises.
+
+    `case` is one of MALFORMED_TABLES; every table has n rows.
+    """
+    rows = [list(row) for row in nearest_profile(pts, pts.n - 1)]
+    message = "table does not match point set"
+    if case == "negative-entry":
+        rows[0][0] = -1
+    elif case == "entry-past-n":
+        rows[0][0] = pts.n
+    elif case == "float-entry":
+        rows[0][0] = float(rows[0][0])
+    elif case == "short-later-row":
+        rows[-1] = rows[-1][: k - 1]
+    elif case == "narrow":
+        rows = [row[: k - 1] for row in rows]
+        message = f"table width {k - 1} is below r={k}"
+    elif case == "unequal-rows":
+        rows = [row if v % 2 == 0 else row[: k - 1] for v, row in enumerate(rows)]
+    return NeighborTable(order=tuple(map(tuple, rows))), message
 
 
 def assert_valid(pts, indices, r):

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_best_witness, pts1d, pts2d, reference_oracle_report, reference_violation_scan
+from helpers import (
+    MALFORMED_TABLES,
+    malformed_table,
+    naive_best_witness,
+    pts1d,
+    pts2d,
+    reference_check,
+    reference_oracle_report,
+    reference_violation_scan,
+)
 from multipack import (
     BudgetExceededError,
     GeneralPositionError,
@@ -65,6 +74,39 @@ def test_checker_rejects_table_narrower_than_r():
     assert is_r_multipacking(POWERS, table, {0, 3}, 2)[0]
     with pytest.raises(ValueError, match="width"):
         is_r_multipacking(POWERS, table, {0, 3}, 3)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("case", MALFORMED_TABLES)
+def test_checker_rejects_malformed_tables(case, r):
+    # read as an index, the -1 in a row 0 of (-1, 2, 3) on 0, 1, 3, 7 would
+    # be point 3 and reject the valid {0, 3} at r = 1
+    pts = pts1d(0, 1, 3, 7)
+    table, message = malformed_table(pts, case, r)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        is_r_multipacking(pts, table, {0, 3}, r)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), dim=st.sampled_from([1, 2]), seed=st.integers(0, 10**6))
+def test_checker_matches_reference(data, n, dim, seed):
+    """Same (ok, Violation), or the same error, as the loop on full and width-r tables."""
+    pts = random_point_set(n, dim=dim, seed=seed)
+    r = data.draw(st.integers(1, n - 1), label="r")
+    # random sets are both valid and invalid; a stray -1 or n tests the index check
+    members = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="members")
+    members += data.draw(st.sampled_from([[], [], [], [-1], [n]]), label="stray")
+    for table in (build_neighbor_table(pts), NeighborTable(order=tuple(nearest_profile(pts, r)))):
+        assert _outcome(is_r_multipacking, pts, table, members, r) == _outcome(
+            reference_check, pts, table, members, r
+        )
 
 
 def test_oracle_reads_only_the_first_r_plus_one_distances():

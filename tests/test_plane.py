@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    MALFORMED_TABLES,
+    malformed_table,
     naive_max_independent_sets,
     pts2d,
     reference_adjacency_fault,
@@ -181,6 +183,15 @@ _SIX = pts2d((0, 0), (1, 0), (3, 0), (7, 1), (4, 9), (12, 20))
 def test_derived_data_of_another_point_set_is_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("case", MALFORMED_TABLES)
+@pytest.mark.parametrize("build, k", [(build_nearest_neighbor_graph, 1), (build_conflict_graph, 2)],
+                         ids=["nng", "conflict"])
+def test_builders_reject_malformed_tables(build, k, case):
+    table, message = malformed_table(_SIX, case, k)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(_SIX, table)
 
 
 def test_max_1_multipacking_examples():
