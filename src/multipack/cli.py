@@ -16,13 +16,7 @@ import json
 import sys
 import time
 
-from .geometry import (
-    NeighborTable,
-    ParseError,
-    load_points,
-    nearest_profile,
-    save_points_csv,
-)
+from .geometry import ParseError, load_points, nearest_order, save_points_csv
 from .instances import (
     _scan_seed,
     pentagon_five,
@@ -34,8 +28,8 @@ from .line import greedy_max_r_multipacking_1d, lower_family_1d, upper_family_1d
 from .multipacking import (
     ORACLE_MAX_N,
     BudgetExceededError,
+    _check_order,
     bruteforce_max_r_multipacking,
-    is_r_multipacking,
     load_witness,
 )
 from .plane import (
@@ -158,8 +152,7 @@ def cmd_check(args) -> int:
     if pts.n == 1:  # every ball around the lone point holds at most itself
         ok, violation = True, None
     else:
-        table = NeighborTable(order=tuple(nearest_profile(pts, r)))
-        ok, violation = is_r_multipacking(pts, table, members, r)
+        ok, violation = _check_order(nearest_order(pts, r), members)
     if ok:
         _emit({"valid": True, "r": r, "size": len(members)}, None)
         _note(f"check: valid ({len(members)} members, r={r})")

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, groupby
+from numbers import Rational
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -109,6 +110,9 @@ class PointSet:
         for i, p in enumerate(self.points):
             if len(p) != self.dim:
                 raise ValueError(f"point {i} has dimension {len(p)}, expected {self.dim}")
+            for c in p:
+                if type(c) is not int and not isinstance(c, Rational):  # int first: the ABC check is slower
+                    raise ValueError(f"point {i} has coordinate {c!r}, not an int or Fraction")
             if p in seen:
                 raise ValueError(f"duplicate point {p} at index {i}")
             seen.add(p)

@@ -79,8 +79,12 @@ def is_r_multipacking(
     scan order is ascending point index, then ascending s.  The table needs
     width >= r.
     """
-    n = pts.n
-    order = table._prefix(n, r)
+    return _check_order(table._prefix(pts.n, r), members)
+
+
+def _check_order(order: np.ndarray, members: Iterable[int]) -> tuple[bool, Violation | None]:
+    """`is_r_multipacking` on an n x r array of each point's r nearest, in order."""
+    n, r = order.shape
     marked = bytearray(n)
     for i in members:
         if not 0 <= i < n:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from numbers import Integral
 from typing import Callable, Iterable
 
 import numpy as np
@@ -30,56 +31,33 @@ class NotAForestError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Undirected simple graph with sorted adjacency tuples."""
+    """Undirected simple graph in canonical form: row v holds v's neighbors,
+    integers in 0..n-1 in strictly increasing order, each edge at both ends."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        """Reject the first faulty row, scanning rows in order: a row that is
-        not strictly increasing, else its first endpoint out of range, a
-        loop, or an edge whose reverse is missing."""
         n = self.n
-        if n < 1 or len(self.adj) != n:
+        if not isinstance(n, Integral) or n < 1 or len(self.adj) != n:
             raise ValueError("adjacency size does not match n")
-        sizes = np.fromiter(map(len, self.adj), dtype=np.int64, count=n)
-        ends = np.cumsum(sizes)
-        try:
-            flat = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=int(ends[-1]))
-        except OverflowError:  # an endpoint beyond int64: compare exactly on Python ints
-            flat = np.array(list(chain.from_iterable(self.adj)), dtype=object)
-        owner = np.repeat(np.arange(n), sizes)
-        same_row = owner[1:] == owner[:-1]
-        unsorted = np.zeros(n, dtype=bool)
-        unsorted[owner[1:][same_row & (flat[1:] <= flat[:-1])]] = True
-        inside = (flat >= 0) & (flat < n)
-        loop = flat == owner
-        nbr, own = flat[inside].astype(np.int64), owner[inside]
-        missing = ~inside  # out of range, or in range with no reverse edge
-        missing[inside] = ~np.isin(nbr * n + own, own * n + nbr)
-        fault = missing | loop
-        bad = unsorted.copy()
-        bad[owner[fault]] = True
-        if not bad.any():
-            return
-        v = int(bad.argmax())
-        if unsorted[v]:
-            raise ValueError(f"adjacency of {v} must be sorted and duplicate-free")
-        start = int(ends[v] - sizes[v])
-        i = start + int(fault[start : ends[v]].argmax())
-        if not inside[i]:
-            raise ValueError(f"vertex {flat[i]} out of range")
-        if loop[i]:
-            raise ValueError(f"loop at {v}")
-        raise ValueError(f"edge {v}-{flat[i]} is not symmetric")
+        flat = np.array(list(chain.from_iterable(self.adj)))
+        owner = np.repeat(np.arange(n), [len(row) for row in self.adj])
+        if flat.dtype.kind == "i" and flat.shape == owner.shape and flat.min() >= 0 and flat.max() < n:
+            keys = owner * n + flat  # (row, neighbor) pairs: strictly increasing iff every row is
+            mirrored = np.sort(flat * n + owner)  # the same pairs reversed, in that order
+            if not (flat == owner).any() and (np.diff(keys) > 0).all() and np.array_equal(keys, mirrored):
+                return
+        _raise_first_fault(n, self.adj)  # returns only when the bulk test cannot read the entries as int
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ConflictGraph":
-        pairs = []
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"vertex {b if 0 <= a < n else a} out of range")
-            pairs.append((a, b))
+        pairs = [(a, b) for a, b in edges]
+        for u in chain.from_iterable(pairs):
+            if not isinstance(u, Integral):
+                raise ValueError(f"vertex {u!r} out of range")
+            if not 0 <= u < n:
+                raise ValueError(f"vertex {u} out of range")
         both = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         return _from_pairs(n, both[:, 0], both[:, 1])
 
@@ -88,6 +66,26 @@ class ConflictGraph:
 
     def max_degree(self) -> int:
         return max(len(row) for row in self.adj)
+
+
+def _raise_first_fault(n: int, adj: tuple[tuple[int, ...], ...]) -> None:
+    """Raise ValueError for the first fault of an adjacency with n rows, if any:
+    rows in order; within a row, an entry that is not an integer, then the
+    order, then each endpoint's range, loop and reverse edge."""
+    for v, row in enumerate(adj):
+        for u in row:
+            if not isinstance(u, Integral):
+                raise ValueError(f"vertex {u!r} out of range")
+        row = [int(u) for u in row]  # numpy integers and bools print as plain ints
+        if row != sorted(set(row)):
+            raise ValueError(f"adjacency of {v} must be sorted and duplicate-free")
+        for u in row:
+            if not 0 <= u < n:
+                raise ValueError(f"vertex {u} out of range")
+            if u == v:
+                raise ValueError(f"loop at {v}")
+            if v not in adj[u]:
+                raise ValueError(f"edge {v}-{u} is not symmetric")
 
 
 def _from_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> ConflictGraph:

@@ -184,6 +184,19 @@ def test_check_accepts_what_solve_accepts(tmp_path, capsys):
     assert json.loads(out) == {"valid": True, "r": 2, "size": 2}
 
 
+def test_check_reads_the_ranked_array(lower6, tmp_path, capsys, monkeypatch):
+    # the checker reads nearest_order's array: no per-point tuples are built
+    def refuse(*args):
+        raise AssertionError("check built nearest_profile tuples")
+
+    monkeypatch.setattr(multipack.geometry, "nearest_profile", refuse)
+    monkeypatch.setattr(multipack.cli, "nearest_profile", refuse, raising=False)
+    witness = tmp_path / "witness.json"
+    witness.write_text('{"indices": [0, 3], "r": 5}')
+    code, out, err = run(capsys, "check", "--input", lower6, "--set", str(witness))
+    assert (code, out, err) == (0, '{"valid":true,"r":5,"size":2}\n', "check: valid (2 members, r=5)\n")
+
+
 def test_check_invalid_witness(quad, tmp_path, capsys):
     witness = tmp_path / "pair.json"
     witness.write_text('{"indices": [0, 1], "r": 1}')

@@ -1,6 +1,7 @@
-"""The demo scripts run against the current API and exit 0."""
+"""The demo scripts and the README's library quickstart run against the current API."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -30,3 +31,14 @@ def test_demo_runs(script, tmp_path):
     assert result.returncode == 0, result.stderr.decode()
     if script == "pentagon_gallery.py":
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["pentagon.svg", "square.svg"]
+
+
+def test_readme_quickstart_prints_its_commented_outputs(capsys):
+    readme = (DEMOS.parent / "README.md").read_text()
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    commented = [(out, line.partition("#")[2].strip()) for out, line in zip(printed, prints) if "#" in line]
+    assert commented == [("2 (0, 3)", "2 (0, 3)"), ("2", "2")]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -137,6 +138,19 @@ def test_point_set_rejects_duplicates():
 def test_point_set_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         PointSet.of([(1,), (1, 2)])
+
+
+@pytest.mark.parametrize("point", [(0.5,), ("1",), (None,), (1.0,), (3, 0.25)], ids=repr)
+def test_point_set_rejects_coordinates_that_are_not_exact_rationals(point):
+    points = [(0,) * len(point), point, (7,) * len(point)]
+    value = next(c for c in point if not isinstance(c, int))
+    with pytest.raises(ValueError, match=f"^point 1 has coordinate {re.escape(repr(value))}, not an int or Fraction$"):
+        PointSet.of(points)
+
+
+def test_point_set_takes_bools_and_numpy_integers_as_ints():
+    pts = PointSet.of([(True,), (np.int64(5),), (Fraction(1, 3),), (np.uint8(12),)])
+    assert nearest_profile(pts, 2) == [(2, 1), (0, 2), (0, 1), (1, 0)]
 
 
 def test_neighbor_table_three_points():

@@ -582,27 +582,36 @@ def test_edge_list_round_trip():
 
 def test_conflict_graph_rejects_malformed_adjacency():
     """Each fault and its message; rows are scanned in order, and within a row
-    the order check comes first, then each endpoint: range, loop, symmetry."""
+    a non-integer entry comes first, then the order check, then each
+    endpoint: range, loop, symmetry.  `from_edges` checks each endpoint."""
+    graph, edges = ConflictGraph, ConflictGraph.from_edges
     cases = [
-        (3, ((1,), (0,)), "adjacency size does not match n"),
-        (0, (), "adjacency size does not match n"),
-        (3, ((2, 1), (0,), (0,)), "adjacency of 0 must be sorted and duplicate-free"),
-        (3, ((1, 1), (0,), ()), "adjacency of 0 must be sorted and duplicate-free"),
-        (2, ((2,), ()), "vertex 2 out of range"),
-        (2, ((2**70,), ()), f"vertex {2**70} out of range"),
-        (2, ((-1,), ()), "vertex -1 out of range"),
-        (1, ((0,),), "loop at 0"),
-        (2, ((1,), ()), "edge 0-1 is not symmetric"),
+        (graph, 3, ((1,), (0,)), "adjacency size does not match n"),
+        (graph, 0, (), "adjacency size does not match n"),
+        (graph, 2.0, ((1,), (0,)), "adjacency size does not match n"),
+        (graph, 3, ((2, 1), (0,), (0,)), "adjacency of 0 must be sorted and duplicate-free"),
+        (graph, 3, ((1, 1), (0,), ()), "adjacency of 0 must be sorted and duplicate-free"),
+        (graph, 2, ((2,), ()), "vertex 2 out of range"),
+        (graph, 2, ((2**70,), ()), f"vertex {2**70} out of range"),
+        (graph, 2, ((-1,), ()), "vertex -1 out of range"),
+        (graph, 1, ((0,),), "loop at 0"),
+        (graph, 2, ((1,), ()), "edge 0-1 is not symmetric"),
+        (graph, 3, ((1.5,), (0,), ()), "vertex 1.5 out of range"),
+        (graph, 2, ((1.0,), (0,)), "vertex 1.0 out of range"),
+        (graph, 2, (("1",), (0,)), "vertex '1' out of range"),
+        (graph, 2, ((None,), ()), "vertex None out of range"),
+        (edges, 3, [(0, 1.5)], "vertex 1.5 out of range"),
         # two faults each: the first in scan order is named
-        (3, ((1,), (2, 0), (1,)), "adjacency of 1 must be sorted and duplicate-free"),
-        (3, ((0, 1), (), ()), "loop at 0"),
-        (3, ((1, 5), (-1, 0), ()), "vertex 5 out of range"),
-        (3, ((2,), (0,), ()), "edge 0-2 is not symmetric"),
+        (graph, 3, ((1,), (2, 0), (1,)), "adjacency of 1 must be sorted and duplicate-free"),
+        (graph, 3, ((0, 1), (), ()), "loop at 0"),
+        (graph, 3, ((1, 5), (-1, 0), ()), "vertex 5 out of range"),
+        (graph, 3, ((2,), (0,), ()), "edge 0-2 is not symmetric"),
+        (graph, 3, ((5, 1.5), (), ()), "vertex 1.5 out of range"),
     ]
-    for n, adj, message in cases:
+    for make, n, data, message in cases:
         with pytest.raises(ValueError) as info:
-            ConflictGraph(n=n, adj=adj)
-        assert str(info.value) == message, (n, adj)
+            make(n, data)
+        assert str(info.value) == message, (n, data)
 
 
 @settings(max_examples=300, deadline=None)
