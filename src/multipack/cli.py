@@ -107,6 +107,8 @@ def cmd_solve(args) -> int:
             method = "bruteforce"
     if method in _METHOD_RADIUS and r != _METHOD_RADIUS[method]:
         raise CliError(EXIT_METHOD, "method", f"{method} solves r={_METHOD_RADIUS[method]} only, got r={r}")
+    if method in ("exact", "greedy", "fpt") and n < 3:
+        raise CliError(EXIT_METHOD, "method", f"{method} needs n >= 3")
     started = time.perf_counter()
     if method == "greedy1d":
         if pts.dim != 1:

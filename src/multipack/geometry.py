@@ -172,7 +172,10 @@ class NeighborTable:
         if self.width < k:
             raise ValueError(f"table width {self.width} is below r={k}")
         # rows cut to k first: n*k entries exactly when no row is shorter than k
-        flat = np.array(list(chain.from_iterable([row[:k] for row in self.order])))
+        try:
+            flat = np.array(list(chain.from_iterable([row[:k] for row in self.order])))
+        except ValueError:  # entries of unequal shapes
+            raise ValueError("table does not match point set") from None
         if flat.dtype.kind != "i" or flat.size != n * k or flat.min() < 0 or flat.max() >= n:
             raise ValueError("table does not match point set")
         return flat.reshape(n, k)

@@ -25,8 +25,8 @@ import numpy as np
 from .geometry import NeighborTable, PointSet, nearest_order
 
 
-# largest n the 2^n subset scan accepts: at n = 24 it holds ~200 MiB of
-# arrays and takes ~1 s, and each further point doubles both
+# largest n the 2^n subset scan accepts: at n = 24 it holds ~160 MiB of
+# arrays and takes ~0.6 s, and each further point doubles both
 ORACLE_MAX_N = 24
 
 
@@ -105,23 +105,6 @@ def _check_order(order: np.ndarray, members: Iterable[int]) -> tuple[bool, Viola
 # brute-force oracle over all subsets
 # ---------------------------------------------------------------------------
 
-def _popcount_table(n_bits: int) -> np.ndarray:
-    size = 1 << n_bits
-    pop = np.zeros(size, dtype=np.uint8)
-    block = 1
-    while block < size:
-        pop[block : 2 * block] = pop[:block] + 1
-        block *= 2
-    return pop
-
-
-def _bit_reversed(masks: np.ndarray, n_bits: int) -> np.ndarray:
-    rev = np.zeros_like(masks)
-    for b in range(n_bits):
-        rev |= ((masks >> b) & 1) << (n_bits - 1 - b)
-    return rev
-
-
 def _violation_radius_scan(order: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The subsets that pass s = 1, each with the smallest s whose bound it breaks.
 
@@ -144,7 +127,7 @@ def _violation_radius_scan(order: np.ndarray) -> tuple[int, np.ndarray, np.ndarr
     Ids are uint32: callers keep sets << n within 2^32.
     """
     sets, n, width = order.shape
-    pop = np.tile(_popcount_table(n), sets)  # indexed by flat id
+    low = (1 << n) - 1  # strips the set index from a flat id
     # prefix[k, v, s] = mask of v plus its s nearest points in set k
     prefix = np.empty((sets, n, width + 1), dtype=np.uint32)
     prefix[:, :, 0] = np.uint32(1) << np.arange(n)
@@ -155,31 +138,20 @@ def _violation_radius_scan(order: np.ndarray) -> tuple[int, np.ndarray, np.ndarr
     for s in range(1, width + 1):
         bound = (s + 1) >> 1
         if s & 1:  # the bound grows at odd s only
-            live = live[pop[live] > bound]
+            live = live[np.bitwise_count(live & low) > bound]
         if not live.size:
             break
         if sets == 1:
             for hood in set(prefix[0, :, s].tolist()):  # points with one s-neighborhood share a bound
-                bad = pop[live & np.uint32(hood)] > bound
+                bad = np.bitwise_count(live & np.uint32(hood)) > bound
                 first_bad[live[bad]] = s
                 live = live[~bad]
             continue
-        bad = (pop[live[:, None] & prefix[live >> n, :, s]] > bound).any(axis=1)
+        bad = (np.bitwise_count(live[:, None] & prefix[live >> n, :, s]) > bound).any(axis=1)
         first_bad[live[bad]] = s
         live = live[~bad]
     ids = np.flatnonzero(first_bad > 1).astype(np.uint32)
-    return n, ids, first_bad[ids], pop[ids]
-
-
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return n, ids, first_bad[ids], np.bitwise_count(ids & low)
 
 
 def _report_for_radius(scan: tuple[int, np.ndarray, np.ndarray, np.ndarray], r: int) -> SolveReport:
@@ -187,11 +159,16 @@ def _report_for_radius(scan: tuple[int, np.ndarray, np.ndarray, np.ndarray], r: 
     valid = first_bad > r  # the empty set is always valid
     best = int(pop[valid].max())
     candidates = masks[valid & (pop == best)]
-    # lexicographically smallest index tuple == largest bit-reversed mask
-    winner = int(candidates[np.argmax(_bit_reversed(candidates, n))])
+    # lexicographically smallest index tuple: from index 0 up, keep the
+    # candidates holding index i whenever any of them does
+    for i in range(n):
+        held = (candidates >> i) & 1 == 1
+        if held.any():
+            candidates = candidates[held]
+    winner = int(candidates[0])
     return SolveReport(
         size=best,
-        indices=_mask_to_indices(winner),
+        indices=tuple(i for i in range(n) if winner >> i & 1),
         r=r,
         method="bruteforce",
         stats={"subsets": 1 << n},
@@ -234,9 +211,7 @@ def bruteforce_max_r_multipacking(pts: PointSet, r: int) -> SolveReport:
 
 def multipacking_number(pts: PointSet) -> int:
     """Maximum multipacking cardinality, i.e. the r = n-1 optimum."""
-    if pts.n == 1:
-        return 1
-    return bruteforce_max_r_multipacking(pts, pts.n - 1).size
+    return bruteforce_max_r_multipacking(pts, max(1, pts.n - 1)).size
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,10 @@ class ConflictGraph:
         n = self.n
         if not isinstance(n, Integral) or n < 1 or len(self.adj) != n:
             raise ValueError("adjacency size does not match n")
-        flat = np.array(list(chain.from_iterable(self.adj)))
+        try:
+            flat = np.array(list(chain.from_iterable(self.adj)))
+        except ValueError:  # entries of unequal shapes: the row loop names the first
+            flat = np.empty(0, dtype=object)
         owner = np.repeat(np.arange(n), [len(row) for row in self.adj])
         if flat.dtype.kind == "i" and flat.shape == owner.shape and flat.min() >= 0 and flat.max() < n:
             keys = owner * n + flat  # (row, neighbor) pairs: strictly increasing iff every row is

@@ -200,7 +200,7 @@ def reference_check(pts, table, members, r):
     return True, None
 
 
-MALFORMED_TABLES = ("negative-entry", "entry-past-n", "float-entry", "short-later-row", "narrow", "unequal-rows")
+MALFORMED_TABLES = ("negative-entry", "entry-past-n", "float-entry", "nested-entry", "short-later-row", "narrow", "unequal-rows")
 
 
 def malformed_table(pts, case, k):
@@ -216,6 +216,8 @@ def malformed_table(pts, case, k):
         rows[0][0] = pts.n
     elif case == "float-entry":
         rows[0][0] = float(rows[0][0])
+    elif case == "nested-entry":
+        rows[0][0] = (rows[0][0],)
     elif case == "short-later-row":
         rows[-1] = rows[-1][: k - 1]
     elif case == "narrow":

@@ -494,6 +494,16 @@ def test_one_point_solve_then_check(tmp_path, capsys, text):
     assert json.loads(out) == {"valid": True, "r": 1, "size": 1}
 
 
+@pytest.mark.parametrize("text", ["x\n5\n", "x,y\n5,7\n"], ids=["1d", "2d"])
+@pytest.mark.parametrize("method", ["exact", "greedy", "fpt"])
+def test_one_point_r2_methods_exit_3(tmp_path, capsys, method, text):
+    points = tmp_path / "one.csv"
+    points.write_text(text)
+    code, out, err = run(capsys, "solve", "--input", str(points), "--r", "2", "--method", method, "--k", "1")
+    assert (code, out) == (3, "")
+    assert err == json.dumps({"error": f"{method} needs n >= 3", "kind": "method"}) + "\n"
+
+
 def test_cli_leaves_scipy_unimported_on_a_line(tmp_path):
     """scipy.spatial costs about half a second to import, so a 1D solve must not pull it in."""
     points = tmp_path / "line.csv"

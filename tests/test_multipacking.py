@@ -146,9 +146,12 @@ def test_oracle_upper_values_n5():
 
 
 def test_oracle_singleton_convention():
-    report = bruteforce_max_r_multipacking(pts1d(7), 1)
-    assert report.size == 1
-    assert report.indices == (0,)
+    """One point, in either dimension, is its own maximum packing at any r >= 1."""
+    for one in (pts1d(7), pts2d((5, 7))):
+        assert multipacking_number(one) == 1
+        for r in (1, 3):
+            report = bruteforce_max_r_multipacking(one, r)
+            assert (report.size, report.indices, report.stats) == (1, (0,), {"subsets": 2})
 
 
 def test_multipacking_number_powers():
@@ -188,8 +191,8 @@ def test_oracle_raises_before_any_work_past_its_limit(monkeypatch):
 
 
 def test_oracle_cross_checks_past_sixteen_points():
-    """Above the old n = 16 cap the oracle still agrees with both exact solvers."""
-    for n, seed in itertools.product(range(17, 23), (0, 1)):
+    """From the old n = 16 cap up to the n = 24 limit the oracle agrees with both exact solvers."""
+    for n, seed in [*itertools.product(range(17, 23), (0, 1)), (23, 0), (24, 0)]:
         line = random_point_set(n, dim=1, seed=seed)
         greedy, oracle = greedy_max_r_multipacking_1d(line, n - 1), bruteforce_max_r_multipacking(line, n - 1)
         assert greedy.size == oracle.size, (n, seed)

@@ -601,6 +601,7 @@ def test_conflict_graph_rejects_malformed_adjacency():
         (graph, 2, (("1",), (0,)), "vertex '1' out of range"),
         (graph, 2, ((None,), ()), "vertex None out of range"),
         (edges, 3, [(0, 1.5)], "vertex 1.5 out of range"),
+        (graph, 2, ((1, (0, 2)), (0,)), "vertex (0, 2) out of range"),
         # two faults each: the first in scan order is named
         (graph, 3, ((1,), (2, 0), (1,)), "adjacency of 1 must be sorted and duplicate-free"),
         (graph, 3, ((0, 1), (), ()), "loop at 0"),
