@@ -49,8 +49,15 @@ EXIT_PARSE = 2
 EXIT_METHOD = 3
 EXIT_BUDGET = 4
 
-# the one radius each dedicated solver handles
-_METHOD_RADIUS = {"nng": 1, "exact": 2, "greedy": 2, "fpt": 2}
+# each method's one solvable radius (None: any) and fewest points, in --method order
+_METHODS = {
+    "greedy1d": (None, 2),
+    "nng": (1, 1),
+    "exact": (2, 3),
+    "fpt": (2, 3),
+    "greedy": (2, 3),
+    "bruteforce": (None, 1),
+}
 
 
 class CliError(Exception):
@@ -105,16 +112,15 @@ def cmd_solve(args) -> int:
             method = "exact"
         else:
             method = "bruteforce"
-    if method in _METHOD_RADIUS and r != _METHOD_RADIUS[method]:
-        raise CliError(EXIT_METHOD, "method", f"{method} solves r={_METHOD_RADIUS[method]} only, got r={r}")
-    if method in ("exact", "greedy", "fpt") and n < 3:
-        raise CliError(EXIT_METHOD, "method", f"{method} needs n >= 3")
+    radius, fewest = _METHODS[method]
+    if radius is not None and r != radius:
+        raise CliError(EXIT_METHOD, "method", f"{method} solves r={radius} only, got r={r}")
+    if method == "greedy1d" and pts.dim != 1:
+        raise CliError(EXIT_METHOD, "method", "greedy1d needs 1D input")
+    if n < fewest:
+        raise CliError(EXIT_METHOD, "method", f"{method} needs n >= {fewest}")
     started = time.perf_counter()
     if method == "greedy1d":
-        if pts.dim != 1:
-            raise CliError(EXIT_METHOD, "method", "greedy1d needs 1D input")
-        if n < 2:
-            raise CliError(EXIT_METHOD, "method", "greedy1d needs n >= 2")
         payload = greedy_max_r_multipacking_1d(pts, r).to_json_dict()
     elif method == "nng":
         payload = max_1_multipacking(pts).to_json_dict()
@@ -299,10 +305,7 @@ def cmd_render(args) -> int:
     witness: tuple[int, ...] = ()
     if args.set:
         witness, _ = load_witness(args.set)
-    render_to_file(
-        pts, args.out, witness=witness, circles=args.circles,
-        width=args.width, height=args.height,
-    )
+    render_to_file(pts, args.out, witness=witness, circles=args.circles)
     _note(f"render: wrote {args.out}")
     return EXIT_OK
 
@@ -317,10 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="maximize an r-multipacking")
     p.add_argument("--input", required=True, help="point file (.csv or .json)")
     p.add_argument("--r", default="full", help="radius, or 'full' for n-1")
-    p.add_argument(
-        "--method", default="auto",
-        choices=["auto", "greedy1d", "nng", "exact", "fpt", "greedy", "bruteforce"],
-    )
+    p.add_argument("--method", default="auto", choices=["auto", *_METHODS])
     p.add_argument("--k", type=int, default=None, help="target size (fpt only)")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--budget", type=int, default=10_000_000, help="search node budget")
@@ -366,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", default=None, help="witness JSON to highlight")
     p.add_argument("--circles", action="store_true",
                    help="draw each point's second-neighbor circle")
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--height", type=int, default=600)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
     return parser

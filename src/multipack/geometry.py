@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, groupby
-from numbers import Rational
+from numbers import Integral, Rational
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -141,6 +141,17 @@ class PointSet:
         return all(isinstance(c, int) for p in self.points for c in p)
 
 
+def _check_radius(r, top: int | None) -> None:
+    """Raise ValueError unless r is an integer in 1..top, or any r >= 1 when top is None."""
+    if isinstance(r, bool) or not isinstance(r, Integral):
+        raise ValueError(f"r must be an integer, got {r!r}")
+    if top is None:
+        if r < 1:
+            raise ValueError(f"r must be >= 1, got {r}")
+    elif not 1 <= r <= top:
+        raise ValueError(f"r must be in 1..{top}, got {r}")
+
+
 @dataclass(frozen=True)
 class NeighborTable:
     """Per-point nearest neighbors, ascending by exact squared distance.
@@ -167,8 +178,7 @@ class NeighborTable:
         """The first k columns as an n x k array: every r = k neighborhood."""
         if self.n != n:
             raise ValueError("table does not match point set")
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"r must be in 1..{n - 1}, got {k}")
+        _check_radius(k, n - 1)
         if self.width < k:
             raise ValueError(f"table width {self.width} is below r={k}")
         # rows cut to k first: n*k entries exactly when no row is shorter than k
@@ -444,6 +454,16 @@ def perturb(pts: PointSet, epsilon: Coord, seed: int) -> PointSet:
 # point file formats
 # ---------------------------------------------------------------------------
 
+def _parsed_point_set(path: str | Path, pts: list[tuple]) -> PointSet:
+    """The point set of a parsed file; ParseError when it holds none or is invalid."""
+    if not pts:
+        raise ParseError(f"{path}: no points")
+    try:
+        return PointSet.of(pts)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def load_points_csv(path: str | Path) -> PointSet:
     """Read points from CSV with header 'x' or 'x,y'; values decimal or 'p/q'."""
     with open(path, newline="") as fh:
@@ -464,12 +484,7 @@ def load_points_csv(path: str | Path) -> PointSet:
         if len(row) != dim:
             raise ParseError(f"{path}:{lineno}: expected {dim} values, got {len(row)}")
         pts.append(tuple(parse_coordinate(tok) for tok in row))
-    if not pts:
-        raise ParseError(f"{path}: no points")
-    try:
-        return PointSet.of(pts)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return _parsed_point_set(path, pts)
 
 
 def save_points_csv(pts: PointSet, path: str | Path) -> None:
@@ -504,12 +519,7 @@ def load_points_json(path: str | Path) -> PointSet:
                 raise ParseError(f"{path}: point {i} has non-numeric coordinate {value!r}")
             coords.append(value if isinstance(value, int) else parse_coordinate(value))
         pts.append(tuple(coords))
-    if not pts:
-        raise ParseError(f"{path}: no points")
-    try:
-        return PointSet.of(pts)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return _parsed_point_set(path, pts)
 
 
 def save_points_json(pts: PointSet, path: str | Path) -> None:

@@ -1,16 +1,15 @@
 """Instance generators and frozen fixtures.
 
-The two polygon fixtures are irregular convex polygons on an integer grid,
-found once by the seeded jitter searches below and frozen as CSV data.  Both
-have the cyclic neighbor property (each vertex's two nearest points are its
-cycle neighbors), which caps their maximum multipacking size at one; the
-loaders re-verify that on every construction.
+The two polygon fixtures are irregular convex polygons on an integer grid
+(a jittered regular pentagon and a jittered square), frozen as CSV data.
+Both have the cyclic neighbor property (each vertex's two nearest
+points are its cycle neighbors), which caps their maximum multipacking size
+at one; the loaders re-verify general position, convex position, that
+property and the size on every construction.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from functools import lru_cache
 from importlib import resources
 
@@ -18,10 +17,6 @@ import numpy as np
 
 from .geometry import PointSet, _exact_sort, assert_general_position, load_points_csv, nearest_order
 from .multipacking import _violation_radius_scan, multipacking_number
-
-# jitter-search seeds that produced the frozen fixtures
-PENTAGON_SEED = 0
-SQUARE_SEED = 0
 
 _DEFAULT_GRID = 10**6
 _DRAW_RETRIES = 64
@@ -32,7 +27,7 @@ def _fixture_path(name: str):
     return resources.files("multipack").joinpath(f"data/v1/{name}")
 
 
-def _convex_position(points: list[tuple[int, int]]) -> bool:
+def _convex_position(points: tuple[tuple[int, int], ...]) -> bool:
     n = len(points)
     sign = 0
     for i in range(n):
@@ -61,6 +56,8 @@ def _verified_fixture(name: str) -> PointSet:
         pts = load_points_csv(path)
     if assert_general_position(pts):
         raise AssertionError(f"{name}: fixture lost general position")
+    if not _convex_position(pts.points):
+        raise AssertionError(f"{name}: fixture lost convex position")
     if not _cyclic_neighbor_property(pts):
         raise AssertionError(f"{name}: fixture lost the cyclic neighbor property")
     if multipacking_number(pts) != 1:
@@ -78,45 +75,6 @@ def pentagon_five() -> PointSet:
 def square_four() -> PointSet:
     """Four near-square points whose maximum multipacking has size 1."""
     return _verified_fixture("square4.csv")
-
-
-def _search_jittered_polygon(
-    base: list[tuple[int, int]], seed: int, jitter: int
-) -> PointSet | None:
-    """One jitter attempt; None unless every fixture property holds."""
-    rng = random.Random(seed)
-    n = len(base)
-    points = [
-        (x + rng.randint(-jitter, jitter), y + rng.randint(-jitter, jitter))
-        for x, y in base
-    ]
-    if len(set(points)) != n:
-        return None
-    pts = PointSet.of(points)
-    if assert_general_position(pts):
-        return None
-    if not _convex_position(points):
-        return None
-    if not _cyclic_neighbor_property(pts):
-        return None
-    if multipacking_number(pts) != 1:
-        return None
-    return pts
-
-
-def search_pentagon_fixture(seed: int) -> PointSet | None:
-    """Jitter a regular pentagon; used once to produce the frozen fixture."""
-    base = []
-    for k in range(5):
-        ang = math.radians(90 + 72 * k)
-        base.append((round(1000 * math.cos(ang)), round(1000 * math.sin(ang))))
-    return _search_jittered_polygon(base, seed, 40)
-
-
-def search_square_fixture(seed: int) -> PointSet | None:
-    """Jitter a square; used once to produce the frozen fixture."""
-    base = [(0, 0), (1000, 0), (1000, 1000), (0, 1000)]
-    return _search_jittered_polygon(base, seed, 30)
 
 
 def random_point_set(

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import PointSet, nearest_order
+from .geometry import PointSet, _check_radius, nearest_order
 from .multipacking import SolveReport
 
 
@@ -45,8 +45,7 @@ def greedy_max_r_multipacking_1d(pts: PointSet, r: int) -> SolveReport:
     if pts.dim != 1:
         raise ValueError(f"greedy sweep needs dimension 1, got {pts.dim}")
     n = pts.n
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"r must be in 1..{n - 1}, got {r}")
+    _check_radius(r, n - 1)
     profile = nearest_order(pts, r)  # profile[v, k] is v's (k+1)-th nearest point
     by_x = sorted(range(n), key=lambda i: pts[i][0])
     dtype = np.min_scalar_type(n + 1)

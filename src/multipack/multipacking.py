@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import NeighborTable, PointSet, nearest_order
+from .geometry import NeighborTable, PointSet, _check_radius, nearest_order
 
 
 # largest n the 2^n subset scan accepts: at n = 24 it holds ~160 MiB of
@@ -195,16 +195,13 @@ def bruteforce_max_r_multipacking(pts: PointSet, r: int) -> SolveReport:
 
     Scans all 2^n subsets (vectorized), so n is capped by ORACLE_MAX_N,
     checked before anything is ranked or allocated.  A single point is its
-    own maximum packing for any r.
+    own maximum packing for any integer r >= 1.
     """
     n = pts.n
     _check_oracle_size(n)
+    _check_radius(r, None if n == 1 else n - 1)
     if n == 1:
-        if r < 1:
-            raise ValueError(f"r must be >= 1, got {r}")
         return SolveReport(size=1, indices=(0,), r=r, method="bruteforce", stats={"subsets": 2})
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"r must be in 1..{n - 1}, got {r}")
     scan = _violation_radius_scan(nearest_order(pts, r)[None])
     return _report_for_radius(scan, r)
 

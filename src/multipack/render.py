@@ -18,6 +18,7 @@ _WITNESS_FILL = "#c53030"
 _CIRCLE_STROKE = "#a0aec0"
 _AXIS_STROKE = "#cbd5e0"
 _LABEL_FILL = "#4a5568"
+_WIDTH, _HEIGHT = 800, 600  # canvas size in SVG user units
 
 
 def _fmt(value: float) -> str:
@@ -29,10 +30,8 @@ def render_svg(
     pts: PointSet,
     witness: Iterable[int] = (),
     circles: bool = False,
-    width: int = 800,
-    height: int = 600,
 ) -> str:
-    """Render points (witness members highlighted) to an SVG document string.
+    """Render points (witness members highlighted) to an 800 x 600 SVG document.
 
     With circles=True each point also gets the circle through its second
     neighbor, the neighborhood whose occupancy caps pair placement.
@@ -55,24 +54,24 @@ def render_svg(
     margin = 50.0
     span_x = max(xs_hi - xs_lo, 1e-9)
     span_y = max(ys_hi - ys_lo, 1e-9)
-    scale = min((width - 2 * margin) / span_x, (height - 2 * margin) / span_y)
+    scale = min((_WIDTH - 2 * margin) / span_x, (_HEIGHT - 2 * margin) / span_y)
 
     def place(c: Sequence[float]) -> tuple[float, float]:
         px = margin + (c[0] - xs_lo) * scale
-        py = height - margin - (c[1] - ys_lo) * scale
+        py = _HEIGHT - margin - (c[1] - ys_lo) * scale
         return px, py
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if pts.dim == 1:
         y_axis = place((0.0, 0.0))[1]
         lines.append(
             f'<line x1="{_fmt(margin / 2)}" y1="{_fmt(y_axis)}" '
-            f'x2="{_fmt(width - margin / 2)}" y2="{_fmt(y_axis)}" '
+            f'x2="{_fmt(_WIDTH - margin / 2)}" y2="{_fmt(y_axis)}" '
             f'stroke="{_AXIS_STROKE}" stroke-width="1"/>'
         )
     if circles:
@@ -112,8 +111,6 @@ def render_to_file(
     path: str | Path,
     witness: Iterable[int] = (),
     circles: bool = False,
-    width: int = 800,
-    height: int = 600,
 ) -> None:
     with open(path, "w") as fh:
-        fh.write(render_svg(pts, witness=witness, circles=circles, width=width, height=height))
+        fh.write(render_svg(pts, witness=witness, circles=circles))

@@ -418,6 +418,15 @@ def test_render_writes_svg(pentagon, tmp_path, capsys):
     assert svg.count('fill="#c53030"') == 1
 
 
+@pytest.mark.parametrize("flag", ["--width", "--height"])
+def test_render_canvas_is_fixed(pentagon, tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--input", pentagon, flag, "800", "--out", str(tmp_path / "x.svg")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 800" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_render_rejects_out_of_range_witness(pentagon, tmp_path, capsys):
     witness = tmp_path / "w.json"
     witness.write_text('{"indices": [7], "r": 2}')
@@ -502,6 +511,31 @@ def test_one_point_r2_methods_exit_3(tmp_path, capsys, method, text):
     code, out, err = run(capsys, "solve", "--input", str(points), "--r", "2", "--method", method, "--k", "1")
     assert (code, out) == (3, "")
     assert err == json.dumps({"error": f"{method} needs n >= 3", "kind": "method"}) + "\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x\n5\n", "greedy1d needs n >= 2"),
+    ("x,y\n5,7\n", "greedy1d needs 1D input"),  # the dimension is checked before the size
+], ids=["1d", "2d"])
+def test_one_point_greedy1d_exits_3(tmp_path, capsys, text, error):
+    points = tmp_path / "one.csv"
+    points.write_text(text)
+    code, out, err = run(capsys, "solve", "--input", str(points), "--r", "1", "--method", "greedy1d")
+    assert (code, out) == (3, "")
+    assert err == json.dumps({"error": error, "kind": "method"}) + "\n"
+
+
+def test_solve_lists_its_methods_in_order(quad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", quad, "--method", "bogus"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --method: invalid choice: 'bogus' (choose from " in err
+    listed = err.rsplit("(choose from ", 1)[1].split(")", 1)[0]
+    # newer Pythons drop the quotes around each choice
+    assert listed.replace("'", "").split(", ") == [
+        "auto", "greedy1d", "nng", "exact", "fpt", "greedy", "bruteforce",
+    ]
 
 
 def test_cli_leaves_scipy_unimported_on_a_line(tmp_path):

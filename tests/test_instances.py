@@ -14,12 +14,10 @@ from multipack import (
     pentagon_five,
     random_point_set,
     scan_six_point_sets,
-    search_pentagon_fixture,
-    search_square_fixture,
     square_four,
 )
 from multipack import instances
-from multipack.instances import PENTAGON_SEED, SQUARE_SEED, _scan_seed
+from multipack.instances import _scan_seed
 
 
 def test_pentagon_fixture_is_frozen():
@@ -51,14 +49,20 @@ def test_pentagon_general_position():
 
 def test_square_fixture_properties():
     sq = square_four()
-    assert sq.n == 4
+    assert sq.points == ((24, -6), (1018, 26), (996, 972), (-14, 1002))
     assert assert_general_position(sq) == []
     assert multipacking_number(sq) == 1
 
 
-def test_search_reproduces_frozen_fixtures():
-    assert search_pentagon_fixture(PENTAGON_SEED).points == pentagon_five().points
-    assert search_square_fixture(SQUARE_SEED).points == square_four().points
+def test_fixture_loader_rejects_a_non_convex_polygon(tmp_path, monkeypatch):
+    # the pentagon's vertices with two swapped: still in general position,
+    # but the cycle now crosses itself
+    p = pentagon_five().points
+    path = tmp_path / "crossed5.csv"
+    path.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in (p[0], p[2], p[1], p[3], p[4])))
+    monkeypatch.setattr(instances, "_fixture_path", lambda name: tmp_path / name)
+    with pytest.raises(AssertionError, match="crossed5.csv: fixture lost convex position"):
+        instances._verified_fixture("crossed5.csv")
 
 
 def test_random_point_set_deterministic():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,26 @@ def test_checker_validates_r_range():
         is_r_multipacking(POWERS, table, {0}, 0)
     with pytest.raises(ValueError):
         is_r_multipacking(POWERS, table, {0}, POWERS.n)
+
+
+RADIUS_ENTRY_POINTS = {
+    "oracle": bruteforce_max_r_multipacking,
+    "checker": lambda pts, r: is_r_multipacking(pts, build_neighbor_table(pts), {0}, r),
+    "greedy1d": greedy_max_r_multipacking_1d,
+}
+
+
+@pytest.mark.parametrize("r", [2.0, 1.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("entry", RADIUS_ENTRY_POINTS)
+def test_radius_must_be_an_integer(entry, r):
+    with pytest.raises(ValueError, match=f"^r must be an integer, got {re.escape(repr(r))}$"):
+        RADIUS_ENTRY_POINTS[entry](POWERS, r)
+
+
+def test_oracle_rejects_a_non_integer_radius_on_one_point():
+    with pytest.raises(ValueError, match=r"^r must be an integer, got 2\.5$"):
+        bruteforce_max_r_multipacking(pts1d(7), 2.5)
+    assert bruteforce_max_r_multipacking(pts1d(7), np.int64(2)).size == 1
 
 
 def test_checker_rejects_table_narrower_than_r():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from helpers import pts1d
@@ -48,3 +50,16 @@ def test_render_to_file(tmp_path):
     path = tmp_path / "out.svg"
     render_to_file(pentagon_five(), path, witness=(1,))
     assert path.read_text() == render_svg(pentagon_five(), witness=(1,))
+
+
+
+@pytest.mark.parametrize("draw, digest", [
+    pytest.param(lambda: render_svg(pentagon_five(), witness=(0,), circles=True),
+                 "3f4d2ac61664a21afbae9b94906e8ee9dcdf492d", id="pentagon-witness-circles"),
+    pytest.param(lambda: render_svg(pts1d(0, 6, 9, 33, 54, 150)),
+                 "5effe844041049c4e3a792c83d26b75db8bcc0e2", id="line-6"),
+    pytest.param(lambda: render_svg(random_point_set(60, dim=2, seed=0)),
+                 "42f5f87aed8245e2ec7e9542d416b2aa6fbf84de", id="plane-60-no-labels"),
+])
+def test_svg_bytes_are_pinned(draw, digest):
+    assert hashlib.sha1(draw().encode()).hexdigest() == digest
