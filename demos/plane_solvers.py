@@ -38,7 +38,7 @@ def main():
           f"max degree {graph.max_degree()} (never above 17)")
 
     exact = max_2_multipacking_exact(pts)
-    print(f"  exact branch-and-bound: size {exact.size} "
+    print(f"  exact component search: size {exact.size} "
           f"after {exact.stats['nodes']} nodes")
 
     greedy = greedy_2_multipacking(pts)

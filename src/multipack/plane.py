@@ -4,9 +4,10 @@ For radius 1 the maximum multipackings of a point set are exactly the
 maximum independent sets of its nearest-neighbor graph, which is a forest,
 so a tree DP solves them.  For radius 2 they are the maximum independent
 sets of a conflict graph with one triangle {v, first(v), second(v)} per
-point; that graph has maximum degree at most 17, which powers the exact
-branch-and-bound, the bounded-depth branching search, and the greedy
-approximation below.
+point.  Most of its vertices are simplicial (their neighbors form a
+clique), which the exact search takes outright before it branches; the
+maximum degree of at most 17 bounds the bounded-depth branching search
+and the greedy approximation below.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def max_1_multipacking(pts: PointSet) -> SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# exact independent set (branch and bound on bitmasks)
+# exact independent set (memoized component search on bitmasks)
 # ---------------------------------------------------------------------------
 
 def _adjacency_masks(adj: tuple[tuple[int, ...], ...], verts) -> list[int]:
@@ -255,13 +256,18 @@ def _clique_cover_bound(adjm: list[int], rem: int) -> int:
 class _Search:
     """Independent-set search over the vertex masks of one graph.
 
-    Both branching rules prune with the greedy clique-cover bound and return
-    a mask or None.  `find` branches on a vertex of maximum remaining degree
-    (ties toward the smaller index) after taking every vertex with at most
-    one remaining neighbor; `fpt` branches over the closed neighborhood of a
-    vertex of minimum remaining degree.  `nodes` counts search calls on top
-    of the count passed in, so one `max_nodes` budget can span several
-    searches; going past it raises BudgetExceededError.
+    `size` is the independence number of a vertex mask.  It splits the mask
+    into connected components and solves each one once, keeping the answer
+    in `memo` by component mask: it takes every simplicial vertex (its
+    remaining neighbors are pairwise adjacent, so some optimum holds it),
+    then branches on a vertex of maximum remaining degree (ties toward the
+    smaller index), in or out (Fomin & Kratsch, *Exact Exponential
+    Algorithms*, 2010, ch. 6).  `fpt` branches over the closed neighborhood
+    of a vertex of minimum remaining degree and prunes with the greedy
+    clique-cover bound.  `nodes` counts the components `size` solves and
+    the calls of `fpt` on top of the count passed in, so one `max_nodes`
+    budget can span several searches; going past it raises
+    BudgetExceededError.
     """
 
     def __init__(self, adjm: list[int], max_nodes: int | None, nodes: int = 0):
@@ -269,46 +275,52 @@ class _Search:
         self.closed = [m | (1 << v) for v, m in enumerate(adjm)]
         self.max_nodes = max_nodes
         self.nodes = nodes
+        self.memo: dict[int, int] = {}
 
     def _tick(self) -> None:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExceededError(f"search exceeded {self.max_nodes} nodes")
 
-    def _reduce(self, rem: int, taken: int) -> tuple[int, int]:
-        """Repeatedly take vertices of remaining degree <= 1 (optimal-safe)."""
-        adjm = self.adjm
-        while True:
+    def size(self, rem: int) -> int:
+        """Size of a maximum independent set inside `rem`."""
+        adjm, memo = self.adjm, self.memo
+        total = 0
+        while rem:
+            comp, todo = 0, rem & -rem
+            while todo:  # grow the component of the lowest vertex left
+                low = todo & -todo
+                comp |= low
+                todo = (todo | adjm[low.bit_length() - 1] & rem) & ~comp
+            rem &= ~comp
+            if comp not in memo:
+                memo[comp] = self._component(comp)
+            total += memo[comp]
+        return total
+
+    def _component(self, rem: int) -> int:
+        """Size of a maximum independent set inside the connected mask `rem`."""
+        self._tick()
+        adjm, closed = self.adjm, self.closed
+        taken = 0
+        changed = True
+        while changed:
             changed = False
             for v in _iter_bits(rem):
-                if not (rem >> v) & 1:
-                    continue  # removed earlier in this same pass
+                if not rem >> v & 1:
+                    continue  # taken or removed earlier in this pass
                 live = adjm[v] & rem
-                if live & (live - 1) == 0:  # no neighbor or exactly one left
-                    rem &= ~self.closed[v]
-                    taken |= 1 << v
+                for u in _iter_bits(live):
+                    if live & ~closed[u]:
+                        break  # two neighbors of v are not adjacent
+                else:
+                    rem &= ~closed[v]
+                    taken += 1
                     changed = True
-            if not changed:
-                return rem, taken
-
-    def find(self, rem: int, k: int) -> int | None:
-        """An independent set of size >= k inside `rem` as a mask, or None."""
-        self._tick()
-        if k <= 0:
-            return 0
-        rem, taken = self._reduce(rem, 0)
-        k -= taken.bit_count()
-        if k <= 0:
+        if not rem:
             return taken
-        if rem == 0 or _clique_cover_bound(self.adjm, rem) < k:
-            return None
-        adjm = self.adjm
         v = max(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
-        found = self.find(rem & ~self.closed[v], k - 1)
-        if found is not None:
-            return taken | (1 << v) | found
-        found = self.find(rem & ~(1 << v), k)
-        return None if found is None else taken | found
+        return taken + max(1 + self.size(rem & ~closed[v]), self.size(rem & ~(1 << v)))
 
     def fpt(self, rem: int, k: int) -> int | None:
         """An independent set of size exactly k inside `rem` as a mask, or None.
@@ -351,22 +363,16 @@ def _components(adj: tuple[tuple[int, ...], ...]) -> tuple[list[list[int]], list
     return comps, parent
 
 
-def _first_max_set(search: _Search, known: int) -> int:
+def _first_max_set(search: _Search) -> int:
     """Lexicographically smallest maximum independent set of the whole graph.
 
-    `known` is an independent set, the component's share of the
-    minimum-degree greedy set.  `find` first raises it to an optimum, one
-    size at a time, until no larger set exists.  The witness pass then
-    visits vertices in ascending order and takes each one that still leaves
-    room for an optimum.  `known` stays an optimum that agrees with every
-    decision so far: a vertex in it is taken without a search, and a
-    successful search for any other vertex becomes the new `known`.
+    Visits vertices in ascending order and takes each one that still leaves
+    room for an optimum: vertex i goes in iff `size` of the mask left
+    without its closed neighborhood is need - 1, and otherwise leaves it.
     """
     closed = search.closed
     rem = (1 << len(closed)) - 1
-    while (better := search.find(rem, known.bit_count() + 1)) is not None:
-        known = better
-    need = known.bit_count()
+    need = search.size(rem)
     chosen = 0
     for i in range(len(closed)):
         if need == 0:
@@ -374,30 +380,23 @@ def _first_max_set(search: _Search, known: int) -> int:
         bit = 1 << i
         if not rem & bit:
             continue
-        if not known & bit:
-            found = search.find(rem & ~closed[i], need - 1)
-            if found is None:
-                rem &= ~bit
-                continue
-            known = found | bit
-        chosen |= bit
-        rem &= ~closed[i]
-        need -= 1
+        if search.size(rem & ~closed[i]) == need - 1:
+            chosen |= bit
+            rem &= ~closed[i]
+            need -= 1
+        else:
+            rem &= ~bit
     return chosen
 
 
 def _exact_max_is(graph: ConflictGraph, max_nodes: int | None) -> tuple[tuple[int, ...], dict]:
     """`exact_max_is` plus its stats: nodes, components, largest component."""
     comps = [sorted(comp) for comp in _components(graph.adj)[0]]
-    seed = bytearray(graph.n)
-    for v in _greedy_min_degree(graph):
-        seed[v] = 1
     nodes = 0
     witness: list[int] = []
     for verts in comps:
         search = _Search(_adjacency_masks(graph.adj, verts), max_nodes, nodes)
-        known = sum(1 << j for j, v in enumerate(verts) if seed[v])
-        witness.extend(verts[j] for j in _iter_bits(_first_max_set(search, known)))
+        witness.extend(verts[j] for j in _iter_bits(_first_max_set(search)))
         nodes = search.nodes
     stats = {"nodes": nodes, "components": len(comps), "largest_component": max(map(len, comps))}
     return tuple(sorted(witness)), stats
@@ -407,16 +406,14 @@ def exact_max_is(graph: ConflictGraph, max_nodes: int | None = None) -> tuple[tu
     """Maximum independent set with a deterministic witness.
 
     Each connected component is solved on its own masks, re-indexed to local
-    bits in ascending vertex order.  The component's share of one
-    minimum-degree greedy set is the first lower bound; branch and bound
-    (`_Search.find`: max-degree branching, greedy clique-cover pruning,
-    degree <= 1 reductions) raises it to an optimum, then a witness pass
-    forces the lexicographically smallest optimum of the component index by
-    index.  The union over components is the lexicographically smallest
-    maximum independent set of the whole graph, since every forced choice
-    constrains only its own component.  Returns (witness, explored nodes),
-    the nodes summed over every component and both passes; max_nodes caps
-    that total and raises BudgetExceededError past it.
+    bits in ascending vertex order.  `_Search.size` gives its optimum size,
+    then a witness pass forces the lexicographically smallest optimum of the
+    component index by index, asking `size` of what each choice leaves.  The
+    union over components is the lexicographically smallest maximum
+    independent set of the whole graph, since every forced choice constrains
+    only its own component.  Returns (witness, explored nodes): the
+    sub-components solved, summed over every component and both passes;
+    max_nodes caps that total and raises BudgetExceededError past it.
     """
     witness, stats = _exact_max_is(graph, max_nodes)
     return witness, stats["nodes"]

@@ -16,6 +16,7 @@ from multipack import (
     squared_distance,
 )
 from multipack.geometry import nearest_order, nearest_profile
+from multipack.plane import _greedy_min_degree
 
 
 def pts1d(*coords) -> PointSet:
@@ -266,6 +267,102 @@ def naive_max_independent_sets(n, edges):
         if best:
             break
     return best_size, best
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_exact_max_is(graph):
+    """The exact r=2 search as it was: per-component branch and bound.
+
+    Each component, on local bits in ascending vertex order, starts from its
+    share of the minimum-degree greedy set; `find` (take every vertex of
+    live degree <= 1, prune by a greedy clique cover, branch on a vertex of
+    maximum live degree) raises that set to an optimum one size at a time.
+    A forced pass then takes each vertex, in ascending order, that still
+    leaves room for an optimum; a vertex of the current optimum goes in
+    without a search.  Returns the lexicographically smallest maximum
+    independent set of the whole graph.  The greedy set only sets the
+    starting bound, so the answer does not depend on it.
+    """
+    adj = graph.adj
+    seed = set(_greedy_min_degree(graph))
+    seen = set()
+    witness = []
+    for root in range(graph.n):
+        if root in seen:
+            continue
+        comp = [root]
+        seen.add(root)
+        for v in comp:
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        verts = sorted(comp)
+        local = {v: j for j, v in enumerate(verts)}
+        adjm = [sum(1 << local[u] for u in adj[v]) for v in verts]
+        closed = [m | (1 << j) for j, m in enumerate(adjm)]
+
+        def cover(rem):
+            count = 0
+            while rem:
+                clique = rem & -rem
+                for u in _bits(adjm[clique.bit_length() - 1] & rem):
+                    if adjm[u] & clique == clique:
+                        clique |= 1 << u
+                rem &= ~clique
+                count += 1
+            return count
+
+        def find(rem, k):
+            if k <= 0:
+                return 0
+            taken = 0
+            changed = True
+            while changed:
+                changed = False
+                for v in _bits(rem):
+                    live = adjm[v] & rem
+                    if rem >> v & 1 and live & (live - 1) == 0:
+                        rem &= ~closed[v]
+                        taken |= 1 << v
+                        changed = True
+            k -= taken.bit_count()
+            if k <= 0:
+                return taken
+            if rem == 0 or cover(rem) < k:
+                return None
+            v = max(_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
+            found = find(rem & ~closed[v], k - 1)
+            if found is not None:
+                return taken | (1 << v) | found
+            found = find(rem & ~(1 << v), k)
+            return None if found is None else taken | found
+
+        rem = (1 << len(verts)) - 1
+        known = sum(1 << j for j, v in enumerate(verts) if v in seed)
+        while (better := find(rem, known.bit_count() + 1)) is not None:
+            known = better
+        need = known.bit_count()
+        for i in range(len(verts)):
+            bit = 1 << i
+            if not (need and rem & bit):
+                continue
+            if not known & bit:
+                found = find(rem & ~closed[i], need - 1)
+                if found is None:
+                    rem &= ~bit
+                    continue
+                known = found | bit
+            witness.append(verts[i])
+            rem &= ~closed[i]
+            need -= 1
+    return tuple(sorted(witness))
 
 
 def reference_local_search(graph, members):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from helpers import (
     naive_max_independent_sets,
     pts2d,
     reference_adjacency_fault,
+    reference_exact_max_is,
     reference_forest_mis,
     reference_local_search,
 )
@@ -36,7 +38,7 @@ from multipack import (
     max_degree_audit,
     parse_edge_list,
 )
-from multipack.geometry import nearest_profile
+from multipack.geometry import nearest_order, nearest_profile
 from multipack.instances import pentagon_five, random_point_set
 from multipack.plane import DEGREE_BOUND, _greedy_min_degree, _local_search
 
@@ -276,12 +278,12 @@ def test_exact_is_matches_naive_enumeration():
     # the min-degree greedy takes 4 first and ends one short of the optimum
     (7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 5), (3, 6)],
      [2, 3, 4], (0, 1, 5, 6)),
-    # two short, and the first search for a larger set returns only 4 vertices
+    # two short
     (10, [(0, 2), (0, 4), (0, 6), (1, 2), (1, 4), (1, 7), (1, 8), (1, 9), (2, 5), (3, 5),
           (3, 6), (3, 7), (3, 8), (4, 5), (5, 6), (5, 7), (5, 8), (6, 9), (7, 9), (8, 9)],
      [0, 1, 3], (2, 4, 6, 7, 8)),
 ])
-def test_exact_raises_a_greedy_seed_below_the_optimum(n, edges, greedy, optimum):
+def test_min_degree_greedy_falls_below_the_optimum(n, edges, greedy, optimum):
     graph = ConflictGraph.from_edges(n, edges)
     assert _greedy_min_degree(graph) == greedy
     assert exact_max_is(graph)[0] == optimum
@@ -317,6 +319,64 @@ def _count_components(graph: ConflictGraph) -> tuple[int, int]:
     for v in range(graph.n):
         sizes[root(v)] = sizes.get(root(v), 0) + 1
     return len(sizes), max(sizes.values())
+
+
+def test_exact_matches_reference_witness():
+    cases = [build_conflict_graph(random_point_set(10 + i % 51, dim=2, seed=60_000 + i)) for i in range(200)]
+    cases += [build_conflict_graph(random_point_set(n, seed=1, audit="none")) for n in (300, 1000)]
+    cases += [_interleaved_components(seed) for seed in range(40)]
+    for graph in cases:
+        assert exact_max_is(graph)[0] == reference_exact_max_is(graph)
+
+
+def _grid(width: int) -> ConflictGraph:
+    edges = [(v, v + 1) for v in range(width * width) if (v + 1) % width]
+    edges += [(v, v + width) for v in range(width * (width - 1))]
+    return ConflictGraph.from_edges(width * width, edges)
+
+
+def _cubic(n: int, seed: int) -> ConflictGraph:
+    """A random simple 3-regular graph: stubs paired at random until simple."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if all(a != b for a, b in pairs) and len({frozenset(pair) for pair in pairs}) == len(pairs):
+            return ConflictGraph.from_edges(n, pairs)
+
+
+def _gnp(n: int, p: float, seed: int) -> ConflictGraph:
+    rng = random.Random(seed)
+    return ConflictGraph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+
+
+@pytest.mark.parametrize("graph", [_grid(8), _grid(10), _cubic(80, 0), _gnp(60, 0.1, 0), _gnp(50, 0.3, 0)],
+                         ids=["grid8", "grid10", "cubic80", "gnp60", "gnp50"])
+def test_exact_stays_bounded_without_simplicial_vertices(graph):
+    # graphs with few simplicial vertices leave the search to branching; a
+    # slide into exponential behaviour trips the budget
+    assert exact_max_is(graph, max_nodes=20_000)[0] == reference_exact_max_is(graph)
+
+
+@pytest.mark.parametrize("n", [3000, 10_000])
+def test_exact_size_matches_milp_at_scale(n):
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
+    pts = random_point_set(n, seed=1, audit="none")
+    report = max_2_multipacking_exact(pts)
+    # one row per point: at most one member in {v, first(v), second(v)}
+    cols = np.column_stack((np.arange(n), nearest_order(pts, 2))).ravel()
+    rows = csr_matrix((np.ones(3 * n), (np.repeat(np.arange(n), 3), cols)), shape=(n, n))
+    result = milp(-np.ones(n), constraints=LinearConstraint(rows, ub=1), integrality=np.ones(n),
+                  bounds=Bounds(0, 1), options={"mip_rel_gap": 0})
+    assert result.status == 0
+    assert report.size == round(-result.fun)
+    table = NeighborTable(order=tuple(nearest_profile(pts, 2)))
+    assert is_r_multipacking(pts, table, report.indices, 2)[0]
+    if n == 3000:
+        assert report.stats["nodes"] < 5_000  # reads 1492, and 8790 without the memo
 
 
 def test_exact_witnesses_are_pinned():
@@ -551,6 +611,7 @@ def test_exact_is_matches_naive_property(graph):
     best_size, best_sets = naive_max_independent_sets(graph.n, graph.edges())
     assert len(witness) == best_size
     assert witness == min(best_sets)
+    assert witness == reference_exact_max_is(graph)
 
 
 def test_degree_audit_examples():
