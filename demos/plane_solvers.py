@@ -53,8 +53,8 @@ def main():
         if found.size == 0:
             print(f"  k={k}: none (matches exact optimum {exact.size})")
         else:
-            print(f"  k={k}: found, {found.stats['nodes']} nodes "
-                  f"(budget 18^{k} = {18**k})")
+            print(f"  k={k}: found, {found.stats['nodes']} tree nodes "
+                  f"(at most 1 + 18k = {1 + 18 * k})")
 
 
 if __name__ == "__main__":

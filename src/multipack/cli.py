@@ -375,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise CliError(EXIT_PARSE, "input", f"--budget must be >= 0, got {args.budget}")
         return args.func(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc), "kind": exc.kind}), file=sys.stderr)

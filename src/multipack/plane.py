@@ -6,7 +6,7 @@ so a tree DP solves them.  For radius 2 they are the maximum independent
 sets of a conflict graph with one triangle {v, first(v), second(v)} per
 point.  Most of its vertices are simplicial (their neighbors form a
 clique), which the exact search takes outright before it branches; the
-maximum degree of at most 17 bounds the bounded-depth branching search
+maximum degree of at most 17 bounds the size-k search's branching tree
 and the greedy approximation below.
 """
 
@@ -238,21 +238,6 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _clique_cover_bound(adjm: list[int], rem: int) -> int:
-    """Greedy clique cover size; an upper bound on the independent set size."""
-    count = 0
-    left = rem
-    while left:
-        v = (left & -left).bit_length() - 1
-        clique = 1 << v
-        for u in _iter_bits(adjm[v] & left):
-            if adjm[u] & clique == clique:
-                clique |= 1 << u
-        left &= ~clique
-        count += 1
-    return count
-
-
 class _Search:
     """Independent-set search over the vertex masks of one graph.
 
@@ -262,12 +247,12 @@ class _Search:
     remaining neighbors are pairwise adjacent, so some optimum holds it),
     then branches on a vertex of maximum remaining degree (ties toward the
     smaller index), in or out (Fomin & Kratsch, *Exact Exponential
-    Algorithms*, 2010, ch. 6).  `fpt` branches over the closed neighborhood
-    of a vertex of minimum remaining degree and prunes with the greedy
-    clique-cover bound.  `nodes` counts the components `size` solves and
-    the calls of `fpt` on top of the count passed in, so one `max_nodes`
-    budget can span several searches; going past it raises
-    BudgetExceededError.
+    Algorithms*, 2010, ch. 6).  `fpt` walks the tree that branches over the
+    closed neighborhood of a vertex of minimum remaining degree, asking
+    `size` which child to enter.  `nodes` counts the components `size`
+    solves and the tree nodes `fpt` visits on top of the count passed in,
+    so one `max_nodes` budget can span several searches; going past it
+    raises BudgetExceededError.
     """
 
     def __init__(self, adjm: list[int], max_nodes: int | None, nodes: int = 0):
@@ -322,26 +307,31 @@ class _Search:
         v = max(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
         return taken + max(1 + self.size(rem & ~closed[v]), self.size(rem & ~(1 << v)))
 
-    def fpt(self, rem: int, k: int) -> int | None:
-        """An independent set of size exactly k inside `rem` as a mask, or None.
+    def fpt(self, rem: int, k: int) -> tuple[int | None, int]:
+        """An independent set of size exactly k inside `rem` as a mask, or
+        None, and the branching-tree nodes visited: at most 1 + 18k.
 
-        Every independent set of size k can be moved to intersect the closed
-        neighborhood of any vertex, so branching over the <= 18 members of a
-        minimum-degree vertex's closed neighborhood and recursing with k-1
-        explores at most 18^k nodes.
+        Any independent set of size k can be moved to meet the closed
+        neighborhood of any vertex v, so each level takes the first u, in
+        ascending order, among the <= 18 of v (of minimum remaining degree)
+        whose removal leaves room for k - 1 more by `size`: the set the
+        depth-first search over this tree finds, without backtracking.
         """
         self._tick()
-        if k == 0:
-            return 0
-        if rem == 0 or _clique_cover_bound(self.adjm, rem) < k:
-            return None
+        if self.size(rem) < k:
+            return None, 1
         adjm, closed = self.adjm, self.closed
-        v = min(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), u))
-        for u in _iter_bits(closed[v] & rem):
-            found = self.fpt(rem & ~closed[u], k - 1)
-            if found is not None:
-                return found | (1 << u)
-        return None
+        found, visited = 0, 1
+        for need in range(k - 1, -1, -1):
+            v = min(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), u))
+            for u in _iter_bits(closed[v] & rem):
+                self._tick()
+                visited += 1
+                if self.size(rem & ~closed[u]) >= need:
+                    break
+            found |= 1 << u
+            rem &= ~closed[u]
+        return found, visited
 
 
 def _components(adj: tuple[tuple[int, ...], ...]) -> tuple[list[list[int]], list[int]]:
@@ -441,14 +431,17 @@ def fpt_find_in_graph(
 ) -> tuple[tuple[int, ...] | None, int]:
     """Find an independent set of size exactly k, or report none.
 
-    Runs `_Search.fpt` on the whole graph: at most 18^k nodes for a graph of
-    maximum degree 17.  Returns (witness or None, explored nodes).
+    Runs `_Search.fpt` on the whole graph.  Returns (witness or None,
+    branching-tree nodes visited): at most 1 + 18k on a graph of maximum
+    degree 17, and 1 when no set of size k exists.  `max_nodes` caps the
+    search's one node count, those tree nodes plus the sub-components the
+    `size` oracle solves, and raises BudgetExceededError past it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     search = _Search(_adjacency_masks(graph.adj, range(graph.n)), max_nodes)
-    found = search.fpt((1 << graph.n) - 1, k)
-    return (None if found is None else tuple(_iter_bits(found))), search.nodes
+    found, visited = search.fpt((1 << graph.n) - 1, k)
+    return (None if found is None else tuple(_iter_bits(found))), visited
 
 
 def fpt_2_multipacking(pts: PointSet, k: int, max_nodes: int | None = None) -> SolveReport:

@@ -7,6 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from multipack import (
+    BudgetExceededError,
     NeighborTable,
     PointSet,
     SolveReport,
@@ -276,6 +277,19 @@ def _bits(mask):
         mask ^= low
 
 
+def _clique_cover(adjm, rem):
+    """Size of a greedy clique cover of `rem`; an upper bound on its independence number."""
+    count = 0
+    while rem:
+        clique = rem & -rem
+        for u in _bits(adjm[clique.bit_length() - 1] & rem):
+            if adjm[u] & clique == clique:
+                clique |= 1 << u
+        rem &= ~clique
+        count += 1
+    return count
+
+
 def reference_exact_max_is(graph):
     """The exact r=2 search as it was: per-component branch and bound.
 
@@ -308,17 +322,6 @@ def reference_exact_max_is(graph):
         adjm = [sum(1 << local[u] for u in adj[v]) for v in verts]
         closed = [m | (1 << j) for j, m in enumerate(adjm)]
 
-        def cover(rem):
-            count = 0
-            while rem:
-                clique = rem & -rem
-                for u in _bits(adjm[clique.bit_length() - 1] & rem):
-                    if adjm[u] & clique == clique:
-                        clique |= 1 << u
-                rem &= ~clique
-                count += 1
-            return count
-
         def find(rem, k):
             if k <= 0:
                 return 0
@@ -335,7 +338,7 @@ def reference_exact_max_is(graph):
             k -= taken.bit_count()
             if k <= 0:
                 return taken
-            if rem == 0 or cover(rem) < k:
+            if rem == 0 or _clique_cover(adjm, rem) < k:
                 return None
             v = max(_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
             found = find(rem & ~closed[v], k - 1)
@@ -363,6 +366,38 @@ def reference_exact_max_is(graph):
             rem &= ~closed[i]
             need -= 1
     return tuple(sorted(witness))
+
+
+def reference_fpt(graph, k, max_nodes=None):
+    """The fpt search as it was: a recursive depth-first search that branches
+    over the closed neighborhood of a minimum-degree vertex (ties toward the
+    smaller index), in ascending order, and prunes with a greedy clique cover.
+
+    Returns (witness or None, calls made); past `max_nodes` calls it raises
+    BudgetExceededError.  Its recursion is k deep.
+    """
+    adjm = [sum(1 << u for u in row) for row in graph.adj]
+    closed = [m | (1 << v) for v, m in enumerate(adjm)]
+    nodes = 0
+
+    def find(rem, k):
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise BudgetExceededError(f"search exceeded {max_nodes} nodes")
+        if k == 0:
+            return 0
+        if rem == 0 or _clique_cover(adjm, rem) < k:
+            return None
+        v = min(_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), u))
+        for u in _bits(closed[v] & rem):
+            found = find(rem & ~closed[u], k - 1)
+            if found is not None:
+                return found | (1 << u)
+        return None
+
+    found = find((1 << graph.n) - 1, k)
+    return (None if found is None else tuple(_bits(found))), nodes
 
 
 def reference_local_search(graph, members):

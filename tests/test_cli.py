@@ -96,6 +96,16 @@ def test_solve_fpt_miss_reports_found_false(pentagon, capsys):
     assert report["indices"] == []
 
 
+@pytest.mark.parametrize("method, extra", [("exact", ()), ("fpt", ("--k", "2"))])
+def test_solve_negative_budget_is_malformed_input(quad, capsys, method, extra):
+    argv = ("solve", "--input", quad, "--r", "2", "--method", method, *extra)
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--budget must be >= 0, got -1", "kind": "input"}
+    code, _, err = run(capsys, *argv, "--budget", "0")
+    assert code == 4 and json.loads(err) == {"error": "search exceeded 0 nodes", "kind": "budget"}
+
+
 def test_solve_pentagon_nng(pentagon, capsys):
     code, out, _ = run(capsys, "solve", "--input", pentagon, "--r", "1", "--method", "nng")
     assert code == 0
@@ -404,6 +414,17 @@ def test_bench_rejects_nonpositive_trials(tmp_path, capsys, family):
         assert code == 2
         assert json.loads(err)["kind"] == "input"
     assert not report.exists()
+
+
+def test_bench_negative_budget_is_malformed_input(tmp_path, capsys):
+    report = tmp_path / "x.csv"
+    argv = ("bench", "--family", "random2d", "--trials", "2", "--report", str(report))
+    code, _, err = run(capsys, *argv, "--budget", "-1")
+    assert code == 2
+    assert json.loads(err) == {"error": "--budget must be >= 0, got -1", "kind": "input"}
+    assert not report.exists()
+    code, _, err = run(capsys, *argv, "--budget", "0")
+    assert code == 4 and json.loads(err) == {"error": "search exceeded 0 nodes", "kind": "budget"}
 
 
 def test_render_writes_svg(pentagon, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     pts2d,
     reference_adjacency_fault,
     reference_exact_max_is,
+    reference_fpt,
     reference_forest_mis,
     reference_local_search,
 )
@@ -468,16 +470,64 @@ def test_fpt_agrees_with_exact_for_every_k():
             assert nodes <= 18**k
 
 
-def test_fpt_witnesses_are_pinned():
-    # the criterion 07 queries; (witness, nodes) of every k <= optimum + 1
-    results = []
+def _criterion_07_queries():
+    """(graph, k) for every k <= optimum + 1 on the criterion 07 instances."""
     for i in range(100):
-        pts = random_point_set(6 + i % 35, dim=2, seed=50_000 + i)
-        graph = build_conflict_graph(pts)
+        graph = build_conflict_graph(random_point_set(6 + i % 35, dim=2, seed=50_000 + i))
         optimum = len(exact_max_is(graph)[0])
-        results += [fpt_find_in_graph(graph, k) for k in range(1, optimum + 2)]
+        yield from ((graph, k) for k in range(1, optimum + 2))
+
+
+def test_fpt_witnesses_are_pinned():
+    results = [fpt_find_in_graph(graph, k) for graph, k in _criterion_07_queries()]
+    witnesses = hashlib.sha1(repr([w for w, _ in results]).encode()).hexdigest()
+    assert witnesses == "df1cfa5f710ab96416e21d3300cec95dd03296c5"  # as the clique-cover DFS found them
     digest = hashlib.sha1(repr(results).encode()).hexdigest()
-    assert digest == "f3bc760195836b36e2dc172658b81665be7fb461"
+    assert digest == "1e300d14676b42641150d1e115e014106c299de9"
+
+
+def test_fpt_matches_the_depth_first_reference_on_criterion_07():
+    for graph, k in _criterion_07_queries():
+        assert fpt_find_in_graph(graph, k)[0] == reference_fpt(graph, k)[0]
+
+
+# first k at which the reference spends more than 100 000 nodes; every larger
+# k up to optimum + 1 does too (each such query costs it seconds to confirm)
+_REFERENCE_WALL = {
+    (60, 0): 22, (60, 2): 24, (60, 6): 24,
+    (120, 0): 52, (120, 1): 46, (120, 2): 43, (120, 3): 44, (120, 4): 46,
+    (300, 0): 99, (300, 1): 102,
+}
+
+
+def test_fpt_matches_the_depth_first_reference_at_larger_n():
+    queries = 0
+    for n, seeds in ((60, range(10)), (120, range(5)), (300, range(2))):
+        for seed in seeds:
+            graph = build_conflict_graph(random_point_set(n, seed=seed, audit="none"))
+            top = len(exact_max_is(graph)[0]) + 1
+            for k in range(1, min(top, _REFERENCE_WALL.get((n, seed), top + 1) - 1) + 1):
+                assert fpt_find_in_graph(graph, k)[0] == reference_fpt(graph, k, max_nodes=100_000)[0]
+                queries += 1
+    assert queries == 665
+
+
+def test_fpt_walks_past_the_recursion_limit():
+    # a perfect matching: each level takes the lower end of the next edge
+    m = sys.getrecursionlimit() + 50
+    graph = ConflictGraph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+    assert fpt_find_in_graph(graph, m) == (tuple(range(0, 2 * m, 2)), m + 1)
+
+
+@pytest.mark.parametrize("n, ks", [(120, (46, 47)), (300, None)])
+def test_fpt_answers_where_the_clique_cover_search_stalled(n, ks):
+    # the clique-cover DFS ran out of 100 000 nodes on both k at n = 120 and on k >= 102 at n = 300
+    graph = build_conflict_graph(random_point_set(n, seed=1, audit="none"))
+    optimum = len(exact_max_is(graph)[0])
+    for k in ks or range(1, optimum + 2):
+        witness, nodes = fpt_find_in_graph(graph, k)
+        assert (witness is not None) == (k <= optimum)
+        assert nodes <= 1 + 18 * k
 
 
 def test_fpt_rejects_bad_k():
