@@ -267,20 +267,85 @@ def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> tuple[np
     return np.take_along_axis(dist, order, axis=1), np.take_along_axis(cand, order, axis=1)
 
 
+def _screened_sort(
+    x: np.ndarray, flt: np.ndarray, rows: np.ndarray, cand: np.ndarray, split: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_exact_sort` on a line of Python ints, with float64 proposing the order.
+
+    x holds the exact coordinates, shifted to >= 0 and below 2^1000, and
+    flt the same in float64.  Row i's candidates are the point and its left
+    neighbors going outward (columns 0..split[i]), then its right ones.
+    Returns rank keys in place of `_exact_sort`'s distances and the
+    neighbors in its order.  A key is the column, or on the farther of two
+    tied columns the nearer one's: ascending, and equal exactly on ties (a
+    line has at most two points at one distance from a third).
+    """
+    width = cand.shape[1]
+    here = flt[rows, None]
+    dist = np.abs(flt[cand] - here)
+    order = np.argsort(dist, axis=1, kind="stable")
+    flat = (order + np.arange(0, order.size, width)[:, None]).ravel()
+    dist, idx = dist.ravel()[flat], cand.ravel()[flat]  # row after row, ascending
+    left = (order <= split).ravel()
+    # Float error (u = 2^-53): each coordinate rounds to float64 within u*x
+    # and |dx| rounds once more, so a float distance is within
+    # (2 + u)u(x_c + x_v) <= 2.01u(2x_v + dist) of the exact one, because
+    # x_c + x_v <= 2x_v + |dx|.  err = 2^-50 (2x_v + dist) = 8u(2x_v + dist)
+    # is that bound with a factor of 3.9 to spare for its own rounding and
+    # the gap's.  Both dist +- err rise with dist, so a link whose gap
+    # exceeds its two ends' err, at most twice the farther one's, proves
+    # every entry before it strictly nearer than every entry after it.
+    twice_err = ((2 * here + dist.reshape(cand.shape)) * 2.0**-49).ravel()
+    close = dist[1:] - dist[:-1] <= twice_err[1:]  # close[p]: the link from entry p to p + 1
+    close[width - 1 :: width] = False  # a row's last entry links to nothing
+    # One side's entries are in exact order already: rounding is monotone,
+    # so their float distances never fall going outward, and the stable sort
+    # keeps them in candidate order.  Only a close link between the sides
+    # is compared on integers.
+    links = np.flatnonzero(close & (left[1:] != left[:-1]))
+    point = x[rows[links // width]]
+    bad = links[np.abs(x[idx[links]] - point) >= np.abs(x[idx[links + 1]] - point)]
+    keys = np.broadcast_to(np.arange(width), cand.shape)
+    if bad.size:
+        # an inversion or a tie: re-sort its maximal close run exactly, by
+        # (distance, candidate column) as `_exact_sort` does
+        linked = np.flatnonzero(close)
+        last = np.append(np.flatnonzero(np.diff(linked) != 1), linked.size - 1)  # each run's last link
+        run = np.unique(np.searchsorted(last, np.searchsorted(linked, bad)))
+        lo, hi = linked[np.append(0, last[:-1] + 1)[run]], linked[last[run]] + 2
+        size = hi - lo
+        group = np.repeat(np.arange(run.size), size)
+        members = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(group.size)  # the runs' entries
+        near = np.abs(x[idx[members]] - x[rows[members // width]])
+        resorted = np.lexsort((order.ravel()[members], near, group))
+        idx[members] = idx[members[resorted]]
+        near = near[resorted]
+        tied = members[:-1][(group[1:] == group[:-1]) & (near[1:] == near[:-1])]
+        if tied.size:
+            keys = keys.copy()
+            keys.ravel()[tied + 1] = tied % width
+    return keys, idx.reshape(cand.shape)
+
+
 def _ranked_rows(pts: PointSet, keep: int):
-    """Yield (first, dist, idx) blocks of exactly ranked neighbor rows.
+    """Yield (first, key, idx) blocks of exactly ranked neighbor rows.
 
     Row i of a block belongs to point first + i; its columns are in
-    ascending distance.  Column 0 is the point itself (distance 0) and
-    columns 1..width are its width nearest neighbors, with the same width
-    >= keep in every block.  Tied columns are in candidate order: callers
-    sort a tied group before they report it.
+    ascending distance, and key ranks them: ascending, equal exactly where
+    distances tie.  It is the distances themselves, or on a screened line
+    (below) integer rank keys.  Column 0 is the point itself (distance 0)
+    and columns 1..width are its width nearest neighbors, with the same
+    width >= keep in every block.  Tied columns are in candidate order:
+    callers sort a tied group before they report it.
     - A line always ranks the min(2*keep+1, n) places around the point in
       sorted order, which hold its keep nearest (any point farther along
       has keep points strictly between); width is keep.  The candidates are
       the point, its left neighbors going outward, then its right ones: two
       ascending runs of |dx|, which the stable sort merges in linear time,
-      so a full-width row costs O(n) comparisons, not a sort.
+      so a full-width row costs O(n) comparisons, not a sort.  A line of
+      Python ints (span >= 2^62) below span 2^1000 is screened: float64
+      proposes the order, and integers decide only the links between the
+      two runs that float cannot prove (`_screened_sort`).
     - The plane, when float64 holds every coordinate exactly (span < 2^53),
       ranks the point and the k-d tree's keep + 5 nominees, on each row
       where a float guard proves they contain every point that can rank
@@ -291,9 +356,14 @@ def _ranked_rows(pts: PointSet, keep: int):
     n = pts.n
     arr, span = _ranking(pts).coords
     everyone = np.arange(n)
-    # rows per block: ~2^20 int64 entries, or ~2^12 Python ints (each ~100 bytes)
+    # rows per block: ~2^20 int64 entries, or ~2^12 Python ints (each ~100
+    # bytes), or ~2^14 on a screened line (~60 bytes of arrays each)
     budget = 1 << 20 if arr.dtype == np.int64 else 1 << 12
     if pts.dim == 1:
+        screened = arr.dtype == object and span < 2**1000  # float64 holds it without overflow
+        if screened:
+            budget = 1 << 14
+            flt = arr[:, 0].astype(np.float64)
         window = min(2 * keep + 1, n)
         by_x = np.argsort(arr[:, 0], kind="stable")
         place = np.empty(n, dtype=np.intp)
@@ -304,9 +374,13 @@ def _ranked_rows(pts: PointSet, keep: int):
             rows = everyone[first : first + chunk]
             at = place[rows, None]
             start = np.clip(at - keep, 0, n - window)
-            cand = by_x[np.where(step <= at - start, at - step, start + step)]
-            dist, idx = _exact_sort(arr, rows, cand)
-            yield first, dist[:, : keep + 1], idx[:, : keep + 1]
+            split = at - start  # the point and its left neighbors: columns 0..split
+            cand = by_x[np.where(step <= split, at - step, start + step)]
+            if screened:
+                key, idx = _screened_sort(arr[:, 0], flt, rows, cand, split)
+            else:
+                key, idx = _exact_sort(arr, rows, cand)
+            yield first, key[:, : keep + 1], idx[:, : keep + 1]
         return
     query_k = keep + 6  # self, the kept prefix, and slack for the guard
     width = keep
@@ -350,8 +424,8 @@ def _rank(pts: PointSet, keep: int, ties: list | None = None) -> None:
     """
     dtype = np.min_scalar_type(pts.n - 1)
     orders, first_ties = [], []
-    for first, dist, idx in _ranked_rows(pts, keep):
-        prefix = dist[:, 1:]
+    for first, key, idx in _ranked_rows(pts, keep):
+        prefix = key[:, 1:]
         # a closing True column makes argmax read width - 1 on untied rows
         tied = np.ones(prefix.shape, dtype=bool)
         tied[:, :-1] = prefix[:, :-1] == prefix[:, 1:]
@@ -408,8 +482,9 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     ranking for k serves every request up to k + 4; a planar ranking over
     all points keeps k + 1 columns.  A line always ranks each point's
     min(2k+3, n) places around it in sorted order, in time linear in that
-    window, and keeps k + 1 columns.  Ties are checked per request, within
-    the requested width only.
+    window, and keeps k + 1 columns; a line of Python ints below span 2^1000
+    is ranked in float64 first, and integers decide every link float cannot
+    prove.  Ties are checked per request, within the requested width only.
     """
     order = nearest_order(pts, k)
     profile: list[tuple[int, ...]] = []

@@ -36,10 +36,12 @@ from multipack import geometry, plane
 from multipack.geometry import (
     _normalize,
     format_coordinate,
+    nearest_order,
     nearest_profile,
     parse_coordinate,
 )
 from multipack.instances import random_point_set
+from multipack.line import lower_family_1d, upper_family_1d
 
 UNIT_SQUARE = pts2d((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -382,6 +384,100 @@ def test_nearest_profile_cache_property(points, ks, audit_first):
         expected = reference_prefix(shared, k)
         assert _profile_outcome(shared, k) == expected, k
         assert _profile_outcome(PointSet(points=shared.points, dim=shared.dim), k) == expected, k
+
+
+def _with_ends(values, span):
+    """values plus 0 and span, once each: the line's span is exactly span."""
+    return [(v,) for v in dict.fromkeys([0, span, *values])]
+
+
+# Lines of Python ints (span >= 2^62): below span 2^1000 float64 screens the
+# ranking and integers confirm it; at or above it every row ranks exactly.
+_wide_line = st.integers(62, 1100).flatmap(
+    lambda e: st.lists(st.integers(0, 2**e), max_size=12).map(lambda xs: _with_ends(xs, 2**e))
+)
+# float64 cannot tell these distances apart; offsets of opposite sign tie
+_near_tie_line = st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True).map(
+    lambda ds: _with_ends([2**200 + d for d in ds], 2**201)
+)
+# float64 misorders these distances by gaps of a few units in the last place
+_ulp_line = st.lists(st.tuples(st.integers(-16, 16), st.integers(0, 2**145 - 1)), min_size=1, max_size=12).map(
+    lambda ps: _with_ends([2**200 + m * 2**145 + r for m, r in ps], 2**201)
+)
+_tie_line = st.lists(st.integers(-6, 6), min_size=1, max_size=10, unique=True).map(
+    lambda ms: _with_ends([2**250 + m * 2**248 for m in ms], 2**251)
+)
+_powers_line = st.lists(st.tuples(st.integers(2, 400), st.integers(-3, 3)), min_size=1, max_size=12).map(
+    lambda es: _with_ends([2**e + d for e, d in es], 2**401)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.one_of(_wide_line, _near_tie_line, _ulp_line, _tie_line, _powers_line))
+def test_python_int_line_ranking_property(points):
+    """Every width of a Python-int line ranks and ties as plain sorting does."""
+    pts = PointSet.of(points)
+    n = pts.n
+    for k in sorted({1, 2, n // 2, n - 1}):
+        expected = reference_prefix(pts, k)
+        assert _profile_outcome(PointSet(points=pts.points, dim=1), k) == expected, k
+    assert assert_general_position(pts) == reference_ties(pts)
+
+
+def _exact_rows(pts):
+    """Every point's full neighbor order by `_exact_sort` over all points."""
+    arr = geometry._integer_coords(pts)[0]
+    everyone = np.arange(pts.n)
+    return geometry._exact_sort(arr, everyone, np.broadcast_to(everyone, (pts.n, pts.n)))[1][:, 1:]
+
+
+def test_screened_line_reorders_what_float_misorders():
+    """On upper_family_1d(299), float64 misorders rows; the screen still ranks as `_exact_sort` does."""
+    family = upper_family_1d(299).points
+    shuffled = random.Random(4).sample(family, len(family))
+    for points in (shuffled, [(x + 2**400 + 12345,) for (x,) in shuffled]):
+        pts = PointSet.of(points)
+        arr, span = geometry._integer_coords(pts)
+        assert arr.dtype == object and span < 2**1000
+        exact = _exact_rows(pts)
+        flt = arr[:, 0].astype(np.float64)
+        by_float = np.argsort(np.abs(flt[None, :] - flt[:, None]), axis=1, kind="stable")[:, 1:]
+        assert (by_float != exact).any(axis=1).sum() > 50
+        for k in (1, 2, 10, pts.n - 1):
+            fresh = PointSet(points=pts.points, dim=1)
+            assert nearest_order(fresh, k).tolist() == exact[:, :k].tolist(), k
+
+
+def test_screened_line_raises_the_first_exact_tie():
+    """At 2^300 scale, points 3 and 5 tie from point 1 (2^248 away on either side)."""
+    c = 2**300
+    pts = pts1d(7, c, 2 * c + 11, c - 2**248, c + 5 * 2**251 + 1, c + 2**248, 3 * c)
+    assert reference_prefix(pts, pts.n - 1) == (None, (1, 3, 5))
+    with pytest.raises(GeneralPositionError) as info:
+        nearest_order(pts, pts.n - 1)
+    assert info.value.triple == (1, 3, 5)
+    assert assert_general_position(pts) == reference_ties(pts) == [(1, 3, 5)]
+
+
+def _lower_rows(n, k):
+    """lower_family_1d(n)'s k nearest: every point left of one is nearer than any right of it."""
+    return [([*range(v - 1, -1, -1)] + [*range(v + 1, n)])[:k] for v in range(n)]
+
+
+def test_screened_lower_family_ranks_without_exact_sort(monkeypatch):
+    """A full-width ranking of lower_family_1d(300) screens every row without falling back to `_exact_sort`."""
+    calls = _counted(monkeypatch, geometry, "_exact_sort")
+    pts = lower_family_1d(300)
+    assert nearest_order(pts, pts.n - 1).tolist() == _lower_rows(pts.n, pts.n - 1)
+    assert calls == []
+
+
+def test_lines_past_span_2_1000_rank_exactly(monkeypatch):
+    """lower_family_1d(1100) spans 2^1100 - 2: float64 would overflow, so `_exact_sort` ranks every row."""
+    calls = _counted(monkeypatch, geometry, "_exact_sort")
+    pts = lower_family_1d(1100)
+    assert nearest_order(pts, 2).tolist() == _lower_rows(pts.n, 2)
+    assert sum(len(rows) for _, rows, _ in calls) == pts.n
 
 
 def test_audited_draw_ranks_once_for_the_oracle(monkeypatch):
