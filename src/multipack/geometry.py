@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, groupby
-from numbers import Integral, Rational
+from numbers import Integral
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -45,10 +45,10 @@ class ParseError(ValueError):
 
 
 def _normalize(value: Coord) -> Coord:
-    if type(value) is int:  # the common case, without the ABC check below
+    if type(value) is int:  # the common case, without the ABC checks below
         return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
+    if isinstance(value, (Integral, np.bool_)) or (isinstance(value, Fraction) and value.denominator == 1):
+        return int(value)  # numpy integers too: int64 arithmetic on them would wrap
     return value
 
 
@@ -111,7 +111,7 @@ class PointSet:
             if len(p) != self.dim:
                 raise ValueError(f"point {i} has dimension {len(p)}, expected {self.dim}")
             for c in p:
-                if type(c) is not int and not isinstance(c, Rational):  # int first: the ABC check is slower
+                if type(c) is not int and not isinstance(c, Fraction):  # `of` turns other integers into int
                     raise ValueError(f"point {i} has coordinate {c!r}, not an int or Fraction")
             if p in seen:
                 raise ValueError(f"duplicate point {p} at index {i}")

@@ -218,19 +218,6 @@ def max_1_multipacking(pts: PointSet) -> SolveReport:
 # exact independent set (memoized component search on bitmasks)
 # ---------------------------------------------------------------------------
 
-def _adjacency_masks(adj: tuple[tuple[int, ...], ...], verts) -> list[int]:
-    """Neighbor masks of the subgraph on `verts` (a union of components),
-    with bit j standing for verts[j]."""
-    local = {v: j for j, v in enumerate(verts)}
-    masks = []
-    for v in verts:
-        m = 0
-        for u in adj[v]:
-            m |= 1 << local[u]
-        masks.append(m)
-    return masks
-
-
 def _iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -239,7 +226,9 @@ def _iter_bits(mask: int):
 
 
 class _Search:
-    """Independent-set search over the vertex masks of one graph.
+    """Independent-set search over the vertex masks of the subgraph on
+    `verts` (a union of components of `adj`), with bit j standing for
+    verts[j].
 
     `size` is the independence number of a vertex mask.  It splits the mask
     into connected components and solves each one once, keeping the answer
@@ -255,9 +244,15 @@ class _Search:
     raises BudgetExceededError.
     """
 
-    def __init__(self, adjm: list[int], max_nodes: int | None, nodes: int = 0):
-        self.adjm = adjm
-        self.closed = [m | (1 << v) for v, m in enumerate(adjm)]
+    def __init__(self, adj: tuple[tuple[int, ...], ...], verts, max_nodes: int | None, nodes: int = 0):
+        local = {v: j for j, v in enumerate(verts)}
+        self.adjm = []
+        for v in verts:
+            m = 0
+            for u in adj[v]:
+                m |= 1 << local[u]
+            self.adjm.append(m)
+        self.closed = [m | (1 << v) for v, m in enumerate(self.adjm)]
         self.max_nodes = max_nodes
         self.nodes = nodes
         self.memo: dict[int, int] = {}
@@ -287,21 +282,24 @@ class _Search:
         """Size of a maximum independent set inside the connected mask `rem`."""
         self._tick()
         adjm, closed = self.adjm, self.closed
-        taken = 0
-        changed = True
-        while changed:
-            changed = False
-            for v in _iter_bits(rem):
-                if not rem >> v & 1:
-                    continue  # taken or removed earlier in this pass
-                live = adjm[v] & rem
+        # Taking a simplicial vertex keeps every remaining simplicial vertex
+        # simplicial, and two adjacent simplicial vertices share their closed
+        # neighborhood, so every peel order ends at the same kernel (Newman's
+        # lemma).  A vertex is checked again only once a neighbor has left.
+        taken, todo = 0, rem
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            live = adjm[low.bit_length() - 1] & rem
+            for u in _iter_bits(live):
+                if live & ~closed[u]:
+                    break  # two live neighbors are not adjacent
+            else:
+                rem &= ~(live | low)
+                taken += 1
                 for u in _iter_bits(live):
-                    if live & ~closed[u]:
-                        break  # two neighbors of v are not adjacent
-                else:
-                    rem &= ~closed[v]
-                    taken += 1
-                    changed = True
+                    todo |= adjm[u]
+                todo &= rem
         if not rem:
             return taken
         v = max(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
@@ -364,18 +362,15 @@ def _first_max_set(search: _Search) -> int:
     rem = (1 << len(closed)) - 1
     need = search.size(rem)
     chosen = 0
-    for i in range(len(closed)):
-        if need == 0:
-            break
-        bit = 1 << i
-        if not rem & bit:
-            continue
+    while need:
+        bit = rem & -rem
+        i = bit.bit_length() - 1
         if search.size(rem & ~closed[i]) == need - 1:
             chosen |= bit
             rem &= ~closed[i]
             need -= 1
         else:
-            rem &= ~bit
+            rem ^= bit
     return chosen
 
 
@@ -385,7 +380,7 @@ def _exact_max_is(graph: ConflictGraph, max_nodes: int | None) -> tuple[tuple[in
     nodes = 0
     witness: list[int] = []
     for verts in comps:
-        search = _Search(_adjacency_masks(graph.adj, verts), max_nodes, nodes)
+        search = _Search(graph.adj, verts, max_nodes, nodes)
         witness.extend(verts[j] for j in _iter_bits(_first_max_set(search)))
         nodes = search.nodes
     stats = {"nodes": nodes, "components": len(comps), "largest_component": max(map(len, comps))}
@@ -439,7 +434,7 @@ def fpt_find_in_graph(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    search = _Search(_adjacency_masks(graph.adj, range(graph.n)), max_nodes)
+    search = _Search(graph.adj, range(graph.n), max_nodes)
     found, visited = search.fpt((1 << graph.n) - 1, k)
     return (None if found is None else tuple(_iter_bits(found))), visited
 

@@ -25,6 +25,7 @@ from multipack import (
     load_points_csv,
     load_points_json,
     max_1_multipacking,
+    max_2_multipacking_exact,
     max_degree_audit,
     multipacking_number,
     perturb,
@@ -153,6 +154,61 @@ def test_point_set_rejects_coordinates_that_are_not_exact_rationals(point):
 def test_point_set_takes_bools_and_numpy_integers_as_ints():
     pts = PointSet.of([(True,), (np.int64(5),), (Fraction(1, 3),), (np.uint8(12),)])
     assert nearest_profile(pts, 2) == [(2, 1), (0, 2), (0, 1), (1, 0)]
+
+
+def test_int64_line_spanning_2_63_ranks_without_wrapping():
+    pts = PointSet.of([(np.int64(x),) for x in (-2**62, 2**62, 1, 2**62 - 5)])
+    assert nearest_profile(pts, 1) == [(2,), (3,), (3,), (1,)]
+
+
+def test_int64_plane_spanning_2_32_solves_as_python_ints():
+    # 2 * span^2 passes 2^63 here: numpy values that reached the ranking
+    # would misrank it, and the solver's witness would then be invalid
+    draw = np.random.default_rng(9).integers(0, 2**32, size=(32, 2), dtype=np.int64)
+    report = max_2_multipacking_exact(PointSet.of(draw))
+    exact = max_2_multipacking_exact(PointSet.of(draw.tolist()))
+    assert report.size == exact.size == 12
+    assert report.indices == exact.indices
+
+
+def test_csv_writes_bools_and_numpy_integers_as_plain_ints(tmp_path):
+    path = tmp_path / "pts.csv"
+    pts = PointSet.of([(True,), (np.int64(5),), (3,)])
+    save_points_csv(pts, path)
+    assert path.read_text() == "x\n1\n5\n3\n"
+    assert load_points_csv(path) == pts
+
+
+def test_raw_point_set_rejects_numpy_integers():
+    with pytest.raises(ValueError, match=r"^point 0 has coordinate np\.int64\(1\), not an int or Fraction$"):
+        PointSet(points=((np.int64(1),), (2,)), dim=1)
+
+
+@st.composite
+def _numpy_integer_points(draw):
+    """2-10 distinct points as a numpy integer array (bool included) whose
+    span is near 2^31, 2^32, 2^53, 2^62 or 2^63, as far as the dtype reaches."""
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64,
+                                  np.uint8, np.uint16, np.uint32, np.uint64, np.bool_]))
+    lo, hi = (0, 1) if dtype is np.bool_ else (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    span = min(hi - lo, 2 ** draw(st.sampled_from([31, 32, 53, 62, 63])) + draw(st.integers(-3, 3)))
+    start = draw(st.integers(lo, hi - span))
+    dim = draw(st.sampled_from([1, 2]))
+    coord = st.integers(start, start + span)
+    rest = draw(st.lists(st.tuples(*[coord] * dim), max_size=8))
+    points = list(dict.fromkeys([(start,) * dim, (start + span,) * dim, *rest]))
+    return np.array(points, dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numpy_integer_points())
+def test_numpy_integer_coordinates_rank_as_python_ints(array):
+    # the reference ranks the Python-int copy: squared_distance wraps on numpy scalars too
+    exact = PointSet.of(array.tolist())
+    pts = PointSet.of(array)
+    for k in sorted({1, 2, exact.n - 1}):
+        assert _profile_outcome(pts, k) == reference_prefix(exact, k), k
+    assert assert_general_position(PointSet.of(array)) == reference_ties(exact)
 
 
 def test_neighbor_table_three_points():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -24,6 +25,7 @@ from multipack import (
     ConflictGraph,
     NeighborTable,
     NotAForestError,
+    PointSet,
     bruteforce_max_r_multipacking,
     build_conflict_graph,
     build_nearest_neighbor_graph,
@@ -416,6 +418,51 @@ def test_exact_budget_raises():
     graph = build_conflict_graph(random_point_set(30, dim=2, seed=1))
     with pytest.raises(BudgetExceededError):
         exact_max_is(graph, max_nodes=2)
+
+
+@functools.cache
+def _sunflower(n: int) -> PointSet:
+    """Point i at radius sqrt(i) and angle 3 sqrt(i), scaled by 10^6, jittered by +-3."""
+    rng = np.random.default_rng(1)
+    i = np.arange(n)
+    rad, ang = np.sqrt(i), 3 * np.sqrt(i)
+    xy = np.rint(np.column_stack((rad * np.cos(ang), rad * np.sin(ang))) * 10**6).astype(np.int64)
+    return PointSet.of((xy + rng.integers(-3, 4, size=(n, 2))).tolist())
+
+
+@functools.cache
+def _lattice(width: int) -> PointSet:
+    """A width x width square lattice of spacing 10^6, jittered by +-1000."""
+    rng = np.random.default_rng(1)
+    rows, cols = np.divmod(np.arange(width * width), width)
+    xy = np.column_stack((rows, cols)) * 10**6 + rng.integers(-1000, 1001, size=(width * width, 2))
+    return PointSet.of(xy.tolist())
+
+
+@pytest.mark.parametrize("pts", [_sunflower(200), _sunflower(400), _lattice(12)],
+                         ids=["sunflower200", "sunflower400", "lattice12"])
+def test_exact_matches_reference_on_giant_components(pts):
+    graph = build_conflict_graph(pts)
+    assert _count_components(graph)[1] > pts.n // 2
+    assert exact_max_is(graph)[0] == reference_exact_max_is(graph)
+
+
+@pytest.mark.parametrize("pts, digest", [
+    (_sunflower(1500), "32c721cc92248010b452117d596238d7260e0177"),  # one component, 501 nodes
+    (_lattice(40), "dbc040a17cf5b6a36fdf9b6db8ef2dd38cbbe41b"),  # largest component 1588, 682 nodes
+], ids=["sunflower1500", "lattice40"])
+def test_exact_giant_components_are_pinned(pts, digest):
+    # witness and stats: nodes count the sub-components solved, so a change
+    # to the peel's kernel or to the masks `size` is asked about shows here
+    report = max_2_multipacking_exact(pts)
+    assert hashlib.sha1(repr((report.indices, report.stats)).encode()).hexdigest() == digest
+
+
+def test_exact_budget_raises_on_a_giant_component():
+    graph = build_conflict_graph(_lattice(40))
+    nodes = exact_max_is(graph)[1]
+    with pytest.raises(BudgetExceededError):
+        exact_max_is(graph, max_nodes=nodes - 1)
 
 
 def test_max_2_multipacking_examples():
