@@ -49,22 +49,39 @@ EXIT_PARSE = 2
 EXIT_METHOD = 3
 EXIT_BUDGET = 4
 
-# each method's one solvable radius (None: any) and fewest points, in --method order
-_METHODS = {
-    "greedy1d": (None, 2),
-    "nng": (1, 1),
-    "exact": (2, 3),
-    "fpt": (2, 3),
-    "greedy": (2, 3),
-    "bruteforce": (None, 1),
-}
-
 
 class CliError(Exception):
     def __init__(self, code: int, kind: str, message: str):
         super().__init__(message)
         self.code = code
         self.kind = kind
+
+
+def _fpt(pts, r, args):
+    if args.k is None or args.k < 1:
+        raise CliError(EXIT_METHOD, "method", "fpt needs --k >= 1")
+    if args.k > pts.n:
+        raise CliError(EXIT_METHOD, "method", f"fpt needs --k <= n={pts.n}, got {args.k}")
+    return fpt_2_multipacking(pts, args.k, max_nodes=args.budget)
+
+
+# each method's one solvable radius (None: any), fewest points and call
+# (pts, r, args) -> SolveReport, in --method order
+_METHODS = {
+    "greedy1d": (None, 2, lambda pts, r, args: greedy_max_r_multipacking_1d(pts, r)),
+    "nng": (1, 1, lambda pts, r, args: max_1_multipacking(pts)),
+    "exact": (2, 3, lambda pts, r, args: max_2_multipacking_exact(pts, max_nodes=args.budget)),
+    "fpt": (2, 3, _fpt),
+    "greedy": (2, 3, lambda pts, r, args: greedy_2_multipacking(pts)),
+    "bruteforce": (None, 1, lambda pts, r, args: bruteforce_max_r_multipacking(pts, r)),
+}
+
+
+def _timed(method: str, pts, r: int, args):
+    """Run a method of the table; return its report and its wall time in ms."""
+    started = time.perf_counter()
+    report = _METHODS[method][2](pts, r, args)
+    return report, (time.perf_counter() - started) * 1000.0
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -101,44 +118,20 @@ def cmd_solve(args) -> int:
     n = pts.n
     r = _parse_radius(args.r, n)
     method = args.method
-    if method == "auto":
-        if n == 1:
-            method = "bruteforce"
-        elif pts.dim == 1:
-            method = "greedy1d"
-        elif r == 1:
-            method = "nng"
-        elif r == 2:
-            method = "exact"
-        else:
-            method = "bruteforce"
-    radius, fewest = _METHODS[method]
+    if method == "auto":  # the oracle covers what no dedicated solver does
+        method = ("bruteforce" if n == 1 else "greedy1d" if pts.dim == 1
+                  else {1: "nng", 2: "exact"}.get(r, "bruteforce"))
+    radius, fewest, _ = _METHODS[method]
     if radius is not None and r != radius:
         raise CliError(EXIT_METHOD, "method", f"{method} solves r={radius} only, got r={r}")
     if method == "greedy1d" and pts.dim != 1:
         raise CliError(EXIT_METHOD, "method", "greedy1d needs 1D input")
     if n < fewest:
         raise CliError(EXIT_METHOD, "method", f"{method} needs n >= {fewest}")
-    started = time.perf_counter()
-    if method == "greedy1d":
-        payload = greedy_max_r_multipacking_1d(pts, r).to_json_dict()
-    elif method == "nng":
-        payload = max_1_multipacking(pts).to_json_dict()
-    elif method == "exact":
-        payload = max_2_multipacking_exact(pts, max_nodes=args.budget).to_json_dict()
-    elif method == "greedy":
-        payload = greedy_2_multipacking(pts).to_json_dict()
-    elif method == "fpt":
-        if args.k is None or args.k < 1:
-            raise CliError(EXIT_METHOD, "method", "fpt needs --k >= 1")
-        if args.k > n:
-            raise CliError(EXIT_METHOD, "method", f"fpt needs --k <= n={n}, got {args.k}")
-        payload = fpt_2_multipacking(pts, args.k, max_nodes=args.budget).to_json_dict()
-        if payload["size"] == 0:
-            payload = {"found": False, **payload}
-    else:  # bruteforce fallback for radii no dedicated solver covers
-        payload = bruteforce_max_r_multipacking(pts, r).to_json_dict()
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    report, elapsed_ms = _timed(method, pts, r, args)
+    payload = report.to_json_dict()
+    if method == "fpt" and report.size == 0:
+        payload = {"found": False, **payload}
     _emit(payload, args.out)
     _note(f"solve: method={payload['method']} size={payload['size']} elapsed={elapsed_ms:.1f}ms")
     return EXIT_OK
@@ -212,6 +205,13 @@ _BENCH_HEADER = [
 
 _BENCH_TRIALS = {"random1d": 100, "random2d": 50, "scan6": 1000}
 
+# random families: dimension, n-range floor, default n-range, and the methods each trial
+# runs with the stats counter of their work column
+_BENCH_RANDOM = {
+    "random1d": (1, 2, (2, 12), (("greedy1d", "checks"),)),
+    "random2d": (2, 3, (10, 60), (("exact", "nodes"), ("greedy", "rounds"))),
+}
+
 
 def cmd_bench(args) -> int:
     family = args.family
@@ -219,64 +219,33 @@ def cmd_bench(args) -> int:
     if trials < 1:
         raise CliError(EXIT_PARSE, "input", f"--trials must be >= 1, got {trials}")
     rows: list[list] = []
-    worst_ratio = 0.0
 
     def wall(value_ms: float) -> str:
         return f"{value_ms:.3f}" if args.timing else ""
 
-    if family == "random1d":
-        n_min = args.n_min if args.n_min is not None else 2
-        n_max = args.n_max if args.n_max is not None else 12
-        if not 2 <= n_min <= n_max:
-            raise CliError(EXIT_PARSE, "input", "need 2 <= n-min <= n-max")
-        if n_max > ORACLE_MAX_N:
+    if family in _BENCH_RANDOM:
+        dim, floor, (n_min, n_max), methods = _BENCH_RANDOM[family]
+        n_min = args.n_min if args.n_min is not None else n_min
+        n_max = args.n_max if args.n_max is not None else n_max
+        if not floor <= n_min <= n_max:
+            raise CliError(EXIT_PARSE, "input", f"need {floor} <= n-min <= n-max")
+        if dim == 1 and n_max > ORACLE_MAX_N:
             raise CliError(EXIT_METHOD, "method",
                            f"random1d compares against the oracle; n-max <= {ORACLE_MAX_N}")
-        mismatches = 0
         for t in range(trials):
             n = n_min + t % (n_max - n_min + 1)
             seed_t = _scan_seed(args.seed, t)
-            pts = random_point_set(n, dim=1, seed=seed_t)
-            r = n - 1
-            started = time.perf_counter()
-            got = greedy_max_r_multipacking_1d(pts, r)
-            elapsed = (time.perf_counter() - started) * 1000.0
-            opt = bruteforce_max_r_multipacking(pts, r).size
-            if got.size != opt:
-                mismatches += 1
-            ratio = opt / got.size
-            worst_ratio = max(worst_ratio, ratio)
-            rows.append([
-                t, family, n, seed_t, "greedy1d", r, got.size, opt,
-                f"{ratio:.6f}", got.stats["checks"], wall(elapsed),
-            ])
-        summary = f"bench random1d: trials={trials} mismatches={mismatches} worst_ratio={worst_ratio:.6f}"
-    elif family == "random2d":
-        n_min = args.n_min if args.n_min is not None else 10
-        n_max = args.n_max if args.n_max is not None else 60
-        if not 3 <= n_min <= n_max:
-            raise CliError(EXIT_PARSE, "input", "need 3 <= n-min <= n-max")
-        for t in range(trials):
-            n = n_min + t % (n_max - n_min + 1)
-            seed_t = _scan_seed(args.seed, t)
-            pts = random_point_set(n, dim=2, seed=seed_t)
-            started = time.perf_counter()
-            exact = max_2_multipacking_exact(pts, max_nodes=args.budget)
-            exact_ms = (time.perf_counter() - started) * 1000.0
-            started = time.perf_counter()
-            greedy = greedy_2_multipacking(pts)
-            greedy_ms = (time.perf_counter() - started) * 1000.0
-            ratio = exact.size / greedy.size
-            worst_ratio = max(worst_ratio, ratio)
-            rows.append([
-                t, family, n, seed_t, "exact", 2, exact.size, exact.size,
-                "1.000000", exact.stats["nodes"], wall(exact_ms),
-            ])
-            rows.append([
-                t, family, n, seed_t, "greedy", 2, greedy.size, exact.size,
-                f"{ratio:.6f}", greedy.stats["rounds"], wall(greedy_ms),
-            ])
-        summary = f"bench random2d: trials={trials} worst_ratio={worst_ratio:.6f}"
+            pts = random_point_set(n, dim=dim, seed=seed_t)
+            r = n - 1 if dim == 1 else 2
+            runs = [(method, counter, *_timed(method, pts, r, args)) for method, counter in methods]
+            # the reference: the oracle on a line, the first (exact) row in the plane
+            opt = bruteforce_max_r_multipacking(pts, r).size if dim == 1 else runs[0][2].size
+            for method, counter, got, elapsed in runs:
+                rows.append([t, family, n, seed_t, method, r, got.size, opt,
+                             f"{opt / got.size:.6f}", got.stats[counter], wall(elapsed)])
+        worst_ratio = max(row[7] / row[6] for row in rows)  # optimum / size
+        counted = f" mismatches={sum(row[6] != row[7] for row in rows)}" if dim == 1 else ""
+        summary = f"bench {family}: trials={trials}{counted} worst_ratio={worst_ratio:.6f}"
     else:  # scan6
         started = time.perf_counter()
         scan = scan_six_point_sets(trials, seed=args.seed)

@@ -82,7 +82,7 @@ def squared_distance(a: Sequence[Coord], b: Sequence[Coord]) -> Coord:
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     total = 0
     for x, y in zip(a, b):
-        d = x - y
+        d = _normalize(x) - _normalize(y)  # numpy scalars would wrap in their own width
         total += d * d
     return total
 

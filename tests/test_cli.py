@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -652,3 +653,81 @@ def test_cli_never_shows_a_traceback(tmp_path, capsys):
             assert argv[0] == "check" and json.loads(out)["valid"] is False, argv
         else:
             assert code in (0, 2, 3, 4), argv
+
+
+def _battery_inputs(tmp_path):
+    """The point files of the byte battery: random sets on a line and in the plane, both line
+    families, the pentagon and a 4 x 4 tie grid."""
+    sets = {f"random{dim}d_{n}": random_point_set(n, dim=dim, seed=n)
+            for dim in (1, 2) for n in (1, 2, 3, 4, 9, 20, 25, 40, 120)}
+    sets.update({f"{name}_{n}": family(n) for name, family in (("lower", lower_family_1d), ("upper", upper_family_1d))
+                 for n in (9, 20)})
+    sets["pentagon"] = pentagon_five()
+    paths = {}
+    for name, pts in sets.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        save_points_csv(pts, paths[name])
+    paths["tie_grid"] = tmp_path / "tie_grid.csv"
+    paths["tie_grid"].write_text("x,y\n" + "".join(f"{x},{y}\n" for x in range(4) for y in range(4)))
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _battery_calls(tmp_path):
+    inputs = _battery_inputs(tmp_path)
+    out = str(tmp_path / "out.json")
+    calls = []
+    for path in inputs.values():
+        for method in ("auto", "greedy1d", "nng", "exact", "fpt", "greedy", "bruteforce"):
+            for r in ("full", "0", "1", "2", "3", "x"):
+                for k in ((None, "0", "1", "5", "500") if method == "fpt" else (None,)):
+                    calls.append(("solve", "--input", path, "--r", r, "--method", method,
+                                  *(("--k", k) if k else ())))
+        calls.append(("solve", "--input", path, "--out", out))
+    calls.append(("solve", "--input", str(tmp_path / "missing.csv")))
+    for name in ("random2d_4", "random2d_9", "random2d_20", "random2d_25", "random2d_40", "random2d_120",
+                 "pentagon", "tie_grid"):
+        for budget in ("0", "1", "2", "3", "5", "8", "13", "40", "200"):
+            for method, k in (("auto", None), ("exact", None), ("fpt", "1"), ("fpt", "5"), ("fpt", "16")):
+                calls.append(("solve", "--input", inputs[name], "--r", "2", "--method", method,
+                              *(("--k", k) if k else ()), "--budget", budget, "--out", out))
+    report = str(tmp_path / "report.csv")
+    bench = [
+        ("random1d",), ("random2d",), ("scan6",),
+        ("random1d", "--trials", "1"), ("random1d", "--trials", "30", "--seed", "7"),
+        ("random1d", "--n-min", "1", "--n-max", "3"), ("random1d", "--n-min", "2", "--n-max", "2"),
+        ("random1d", "--n-min", "24", "--n-max", "24", "--trials", "2"),
+        ("random1d", "--n-min", "25", "--n-max", "25"), ("random1d", "--n-min", "5", "--n-max", "4"),
+        ("random1d", "--n-max", "1"), ("random1d", "--n-min", "13"), ("random1d", "--trials", "0"),
+        ("random2d", "--trials", "1"), ("random2d", "--trials", "7", "--seed", "3"),
+        ("random2d", "--n-min", "2", "--n-max", "3"), ("random2d", "--n-min", "3", "--n-max", "3"),
+        ("random2d", "--n-min", "3", "--n-max", "5", "--trials", "9"),
+        ("random2d", "--n-min", "90", "--n-max", "90", "--trials", "2"), ("random2d", "--n-min", "61"),
+        ("random2d", "--trials", "-1"), ("random2d", "--trials", "4", "--budget", "0"),
+        ("random2d", "--trials", "4", "--budget", "3"), ("random2d", "--trials", "4", "--budget", "40"),
+        ("scan6", "--trials", "1"), ("scan6", "--trials", "15", "--seed", "7"), ("scan6", "--trials", "0"),
+        ("scan6", "--n-min", "1", "--n-max", "1", "--trials", "3", "--budget", "0"),
+    ]
+    calls += [("bench", "--family", *args, "--no-timing", "--report", report) for args in bench]
+    return calls, (out, report)
+
+
+# SHA-1 over every call of the byte battery, recorded before solve and bench shared one method table
+_BATTERY_DIGEST = "c24c35afba1e13fd3ea2ca52a8fc7d441a8aa7b0"
+
+
+def test_cli_bytes_are_pinned(tmp_path, capsys):
+    """Argv, exit code, stdout, stderr and the written report of ~2000 solve and bench calls hash
+    to one digest; temporary paths and solve's elapsed milliseconds are masked."""
+    calls, written = _battery_calls(tmp_path)
+    digest = hashlib.sha1()
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        files = []
+        for path in map(Path, written):
+            files.append(path.read_text() if path.exists() else None)
+            path.unlink(missing_ok=True)
+        err = re.sub(r"elapsed=[0-9.]+ms", "elapsed=…ms", err)
+        record = json.dumps([argv, code, out, err, files]).replace(str(tmp_path), "<tmp>")
+        digest.update(record.encode() + b"\n")
+    assert len(calls) > 1900
+    assert digest.hexdigest() == _BATTERY_DIGEST

@@ -59,6 +59,18 @@ def test_squared_distance_rational():
     assert squared_distance((Fraction(1, 2), 0), (0, 0)) == Fraction(1, 4)
 
 
+def test_squared_distance_of_int64_beyond_their_width():
+    assert squared_distance((np.int64(2**62),), (np.int64(-2**62),)) == 2**126
+
+
+def test_squared_distance_of_int64_square_beyond_their_width():
+    assert squared_distance((np.int64(2**32), np.int64(0)), (np.int64(0), np.int64(0))) == 2**64
+
+
+def test_squared_distance_of_unsigned_bytes():
+    assert squared_distance((np.uint8(3),), (np.uint8(20),)) == 289
+
+
 def test_squared_distance_symmetric_and_zero_iff_equal():
     a, b = (3, -7), (10, 4)
     assert squared_distance(a, b) == squared_distance(b, a)
