@@ -13,6 +13,8 @@ import csv
 import json
 import math
 import random
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, groupby
@@ -56,14 +58,22 @@ def parse_coordinate(text: str) -> Coord:
     """Parse a decimal ('-3.25') or rational ('7/3') coordinate exactly.
 
     Plain integers skip `Fraction`: every token `int` accepts, `Fraction`
-    accepts too, with the same value.
+    accepts too, with the same value.  A decimal exponent above
+    `sys.get_int_max_str_digits()` in magnitude is refused before `Fraction`
+    computes 10^exp in full, as `int` refuses a token of that many digits.
     """
     try:
         return int(text)
     except ValueError:
         pass
+    token = text.strip()
     try:
-        return _normalize(Fraction(text.strip()))
+        if "e" in token or "E" in token:  # the one test on the common path: most decimals have no exponent
+            exponent = re.search(r"[eE][-+]?([\d_]+)\Z", token)
+            limit = sys.get_int_max_str_digits()  # 0: no limit
+            if exponent and limit and int(exponent[1]) > limit:
+                raise ValueError(f"exponent above {limit}")
+        return _normalize(Fraction(token))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coordinate {text!r}: {exc}") from None
 
@@ -336,7 +346,8 @@ def _ranked_rows(pts: PointSet, keep: int):
     (below) integer rank keys.  Column 0 is the point itself (distance 0)
     and columns 1..width are its width nearest neighbors, with the same
     width >= keep in every block.  Tied columns are in candidate order:
-    callers sort a tied group before they report it.
+    callers sort a tied group before they report it.  Inputs differ only
+    in each row's candidates (and the guard on k-d tree rows):
     - A line always ranks the min(2*keep+1, n) places around the point in
       sorted order, which hold its keep nearest (any point farther along
       has keep points strictly between); width is keep.  The candidates are
@@ -356,69 +367,61 @@ def _ranked_rows(pts: PointSet, keep: int):
     n = pts.n
     arr, span = _ranking(pts).coords
     everyone = np.arange(n)
-    # rows per block: ~2^20 int64 entries, or ~2^12 Python ints (each ~100
-    # bytes), or ~2^14 on a screened line (~60 bytes of arrays each)
-    budget = 1 << 20 if arr.dtype == np.int64 else 1 << 12
+    screened = pts.dim == 1 and arr.dtype == object and span < 2**1000  # float64 holds it without overflow
+    # rows per block: ~2^20 int64 entries, or ~2^14 on a screened line (~60
+    # bytes of arrays each), or ~2^12 Python ints (each ~100 bytes)
+    budget = 1 << 20 if arr.dtype == np.int64 else 1 << 14 if screened else 1 << 12
+    width, window, nominees = keep, n, None  # window: candidates per row
     if pts.dim == 1:
-        screened = arr.dtype == object and span < 2**1000  # float64 holds it without overflow
-        if screened:
-            budget = 1 << 14
-            flt = arr[:, 0].astype(np.float64)
         window = min(2 * keep + 1, n)
         by_x = np.argsort(arr[:, 0], kind="stable")
         place = np.empty(n, dtype=np.intp)
         place[by_x] = everyone
         step = np.arange(window)
-        chunk = max(1, budget // window)
-        for first in range(0, n, chunk):
-            rows = everyone[first : first + chunk]
+        flt = arr[:, 0].astype(np.float64) if screened else None
+    elif span < 2**53 and keep + 6 < n:
+        from scipy.spatial import cKDTree  # imported on first use: it takes ~0.4 s to load
+
+        window = keep + 6  # self, the kept prefix, and slack for the guard
+        flt = arr.astype(np.float64)
+        nominees = np.sort(cKDTree(flt).query(flt, k=window)[1], axis=1)
+        width = keep + 4  # the guard needs one nominee beyond the last kept column
+    chunk = max(1, budget // window)
+    for first in range(0, n, chunk):
+        rows = everyone[first : first + chunk]
+        if pts.dim == 1:
             at = place[rows, None]
             start = np.clip(at - keep, 0, n - window)
             split = at - start  # the point and its left neighbors: columns 0..split
             cand = by_x[np.where(step <= split, at - step, start + step)]
-            if screened:
-                key, idx = _screened_sort(arr[:, 0], flt, rows, cand, split)
-            else:
-                key, idx = _exact_sort(arr, rows, cand)
-            yield first, key[:, : keep + 1], idx[:, : keep + 1]
-        return
-    query_k = keep + 6  # self, the kept prefix, and slack for the guard
-    width = keep
-    nominees = None
-    if span < 2**53 and query_k < n:
-        from scipy.spatial import cKDTree  # imported on first use: it takes ~0.4 s to load
-
-        flt = arr.astype(np.float64)
-        nominees = np.sort(cKDTree(flt).query(flt, k=query_k)[1], axis=1)
-        width = query_k - 2  # the guard needs one nominee beyond the last kept column
-    chunk = max(1, budget // (n if nominees is None else query_k))
-    for first in range(0, n, chunk):
-        rows = everyone[first : first + chunk]
-        if nominees is None:
-            dist, idx = _exact_sort(arr, rows, np.broadcast_to(everyone, (len(rows), n)))
-            yield first, dist[:, : width + 1], idx[:, : width + 1]
-            continue
-        dist, idx = _exact_sort(arr, rows, nominees[rows])
-        # Float error (u = 2^-53): coordinates and their differences are exact
-        # integers below 2^53, so each cKDTree squared distance is within 3u of
-        # the exact D, and its cell bounds (one rounded side distance added per
-        # level of a median-split tree, depth < 64) within 192u.  So every point
-        # it left out has D >= (1 - 2^-44) * dist[:, -1], and a farthest nominee
-        # past (1 + 2^-40) * dist[:, width] (in integers; all errors are relative
-        # and D >= 1) proves no other point ranks within width or ties it.  Rows
-        # without that proof are re-ranked over all points.
-        bad = dist[:, -1] - dist[:, width] <= dist[:, width] >> 40
-        if bad.any():
-            full = _exact_sort(arr, rows[bad], np.broadcast_to(everyone, (int(bad.sum()), n)))
-            dist[bad], idx[bad] = (block[:, :query_k] for block in full)
-        yield first, dist[:, : width + 1], idx[:, : width + 1]
+        else:
+            cand = np.broadcast_to(everyone, (len(rows), n)) if nominees is None else nominees[rows]
+        if screened:
+            key, idx = _screened_sort(arr[:, 0], flt, rows, cand, split)
+        else:
+            key, idx = _exact_sort(arr, rows, cand)
+        if nominees is not None:
+            # Float error (u = 2^-53): coordinates and their differences are exact
+            # integers below 2^53, so each cKDTree squared distance is within 3u of
+            # the exact D, and its cell bounds (one rounded side distance added per
+            # level of a median-split tree, depth < 64) within 192u.  So every point
+            # it left out has D >= (1 - 2^-44) * key[:, -1], and a farthest nominee
+            # past (1 + 2^-40) * key[:, width] (in integers; all errors are relative
+            # and D >= 1) proves no other point ranks within width or ties it.  Rows
+            # without that proof are re-ranked over all points.
+            bad = key[:, -1] - key[:, width] <= key[:, width] >> 40
+            if bad.any():
+                full = _exact_sort(arr, rows[bad], np.broadcast_to(everyone, (int(bad.sum()), n)))
+                key[bad], idx[bad] = (block[:, :window] for block in full)
+        yield first, key[:, : width + 1], idx[:, : width + 1]
 
 
 def _rank(pts: PointSet, keep: int, ties: list | None = None) -> None:
-    """Rank every row to width >= keep and keep it on `pts` unless a wider prefix is kept.
+    """Rank every row to width >= keep and keep it on `pts` in place of the prefix kept so far.
 
     What is kept is each row's neighbor indices and its first tied column
-    (width - 1 when untied).  A list `ties` also receives every triple
+    (width - 1 when untied); callers never rank narrower than the kept
+    prefix, so it never narrows.  A list `ties` also receives every triple
     (v, a, b) with a < b equidistant from v within that width, in (v,
     distance, a, b) order.
     """
@@ -440,8 +443,7 @@ def _rank(pts: PointSet, keep: int, ties: list | None = None) -> None:
                 tied_points = sorted(u for _, u in group)
                 ties.extend((first + row, a, b) for a, b in combinations(tied_points, 2))
     ranking = _ranking(pts)
-    if ranking.order is None or ranking.order.shape[1] < orders[0].shape[1]:
-        ranking.order, ranking.first_tie = np.concatenate(orders), np.concatenate(first_ties)
+    ranking.order, ranking.first_tie = np.concatenate(orders), np.concatenate(first_ties)
 
 
 def nearest_order(pts: PointSet, k: int) -> np.ndarray:

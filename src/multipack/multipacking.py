@@ -77,13 +77,17 @@ def is_r_multipacking(
 
     Returns (True, None) on success, else (False, first violation) where the
     scan order is ascending point index, then ascending s.  The table needs
-    width >= r.
+    width >= r.  A lone point has no neighbors, so any integer r >= 1 holds
+    for it, as `bruteforce_max_r_multipacking` allows.
     """
+    if pts.n == table.n == 1:
+        _check_radius(r, None)
+        return _check_order(np.empty((1, 0), dtype=np.intp), members)
     return _check_order(table._prefix(pts.n, r), members)
 
 
 def _check_order(order: np.ndarray, members: Iterable[int]) -> tuple[bool, Violation | None]:
-    """`is_r_multipacking` on an n x r array of each point's r nearest, in order."""
+    """`is_r_multipacking` on an n x r array of each point's r nearest, in order (r may be 0)."""
     n, r = order.shape
     marked = bytearray(n)
     for i in members:
@@ -94,10 +98,9 @@ def _check_order(order: np.ndarray, members: Iterable[int]) -> tuple[bool, Viola
     counts = flags[:, None] + np.cumsum(flags[order], axis=1, dtype=np.int32)  # |N_s[v] & M|
     bounds = np.arange(2, r + 2) >> 1  # floor((s+1)/2), column s-1 as in counts
     over = counts > bounds
-    first = int(over.argmax())  # row-major: ascending v, then ascending s
-    if not over.flat[first]:
+    if not over.any():
         return True, None
-    v, col = divmod(first, r)
+    v, col = divmod(int(over.argmax()), r)  # row-major: ascending v, then ascending s
     return False, Violation(v=v, s=col + 1, count=int(counts[v, col]), bound=int(bounds[col]))
 
 

@@ -465,11 +465,8 @@ def _greedy_min_degree(graph: ConflictGraph) -> list[int]:
     heapify(heap)
     chosen = []
     while heap:
-        d, v = heappop(heap)
-        if not alive[v]:
-            continue
-        if d != deg[v]:
-            heappush(heap, (deg[v], v))
+        _, v = heappop(heap)
+        if not alive[v]:  # degrees only fall, each fall pushes: a live vertex pops at its current degree
             continue
         chosen.append(v)
         killed = [v] + [u for u in adj[v] if alive[u]]

@@ -488,6 +488,23 @@ def test_json_points_that_are_not_a_list_exit_2(tmp_path, capsys, points):
         assert json.loads(err)["kind"] == "parse"
 
 
+@pytest.mark.parametrize("token", ["1e9999999", "-1e9999999", "1e-9999999", "9e99999999"])
+def test_huge_exponent_exits_2(tmp_path, capsys, token):
+    """An exponent above the int digit limit is a parse error, not a 10^exp computation."""
+    csv_path, json_path = tmp_path / "big.csv", tmp_path / "big.json"
+    csv_path.write_text(f"x,y\n{token},0\n1,2\n")
+    json_path.write_text(f'{{"dim": 2, "points": [[{token}, 0], [1, 2]]}}')
+    witness = tmp_path / "witness.json"
+    witness.write_text('{"indices": [0], "r": 1}')
+    for path in (csv_path, json_path):
+        for extra in ((), ("--set", str(witness))):
+            command = "check" if extra else "solve"
+            code, out, err = run(capsys, command, "--input", str(path), "--r", "1", *extra)
+            assert code == 2 and out == ""
+            error = f"bad coordinate {token!r}: exponent above {sys.get_int_max_str_digits()}"
+            assert json.loads(err) == {"error": error, "kind": "parse"}
+
+
 @pytest.mark.parametrize("dim", ["true", "false"])
 def test_json_bool_dim_exits_2(tmp_path, capsys, dim):
     path = tmp_path / "bad.json"

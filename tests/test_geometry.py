@@ -1,6 +1,8 @@
+import fractions
 import math
 import random
 import re
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -102,7 +104,11 @@ def test_parse_coordinate_rejects_garbage():
 
 
 def _fraction_outcome(token):
+    """`Fraction`'s reading, with exponents above the int digit limit refused first."""
+    match = fractions._RATIONAL_FORMAT.match(token.strip())  # the grammar `Fraction` parses by
     try:
+        if match and match["exp"] and abs(int(match["exp"])) > sys.get_int_max_str_digits():
+            return ParseError
         return _normalize(Fraction(token.strip()))
     except (ValueError, ZeroDivisionError):
         return ParseError
@@ -138,6 +144,26 @@ def test_parse_coordinate_matches_fraction(token):
 @given(token=st.one_of(st.text(), st.text(alphabet="0123456789_+-/.eE \n\t\xa0\u0663\uff12", max_size=10)))
 def test_parse_coordinate_matches_fraction_on_any_token(token):
     _assert_parses_like_fraction(token)
+
+
+@pytest.mark.parametrize("token", ["1e9999999", "-1e9999999", "1e-9999999", "9e99999999"])
+def test_huge_exponents_are_refused_at_once(tmp_path, token):
+    """`Fraction` would compute 10^exp in full: seconds for 1e9999999, minutes past 9e99999999."""
+    csv_path, json_path = tmp_path / "p.csv", tmp_path / "p.json"
+    csv_path.write_text(f"x\n{token}\n2\n")
+    json_path.write_text(f'{{"dim": 1, "points": [[{token}], [2]]}}')
+    for parse, arg in ((parse_coordinate, token), (load_points_csv, csv_path), (load_points_json, json_path)):
+        with pytest.raises(ParseError, match="exponent above"):
+            parse(arg)
+
+
+def test_exponents_up_to_the_int_digit_limit_parse():
+    limit = sys.get_int_max_str_digits()
+    assert parse_coordinate(f"1e{limit}") == 10**limit
+    assert parse_coordinate(f"-1e-{limit}") == Fraction(-1, 10**limit)
+    for token in (f"1e{limit + 1}", f"1e-{limit + 1}"):
+        with pytest.raises(ParseError):
+            parse_coordinate(token)
 
 
 def test_format_coordinate_round_trips():

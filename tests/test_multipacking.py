@@ -175,6 +175,23 @@ def test_oracle_singleton_convention():
             assert (report.size, report.indices, report.stats) == (1, (0,), {"subsets": 2})
 
 
+def test_checker_accepts_one_point_witnesses():
+    """The oracle's one-point witness passes the checker at any r >= 1, as `multipack check` says."""
+    for one in (pts1d(7), pts2d((5, 7))):
+        table = build_neighbor_table(one)
+        witness = bruteforce_max_r_multipacking(one, 1).indices
+        for r in (1, 2, 5):
+            assert is_r_multipacking(one, table, witness, r) == (True, None)
+            assert is_r_multipacking(one, table, (), r) == (True, None)
+        with pytest.raises(ValueError, match="out of range"):
+            is_r_multipacking(one, table, (1,), 1)
+        for r in (0, 1.5, True):
+            with pytest.raises(ValueError):
+                is_r_multipacking(one, table, witness, r)
+        with pytest.raises(ValueError, match="does not match"):
+            is_r_multipacking(one, build_neighbor_table(pts1d(1, 2)), witness, 1)
+
+
 def test_multipacking_number_powers():
     assert multipacking_number(POWERS) == 2
 
