@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from .geometry import ParseError, load_points, nearest_order, save_points_csv
+from .geometry import ParseError, _check_radius, load_points, nearest_order, save_points_csv
 from .instances import (
     _scan_seed,
     pentagon_five,
@@ -104,12 +104,10 @@ def _parse_radius(text: str, n: int) -> int:
         r = int(text)
     except ValueError:
         raise CliError(EXIT_PARSE, "input", f"--r must be an integer or 'full', got {text!r}")
-    if n == 1:
-        if r < 1:
-            raise CliError(EXIT_METHOD, "method", f"r must be >= 1, got {r}")
-        return r
-    if not 1 <= r <= n - 1:
-        raise CliError(EXIT_METHOD, "method", f"r must be in 1..{n - 1} for n={n}, got {r}")
+    try:
+        _check_radius(r, n)
+    except ValueError as exc:
+        raise CliError(EXIT_METHOD, "method", str(exc)) from None
     return r
 
 

@@ -151,15 +151,14 @@ class PointSet:
         return all(isinstance(c, int) for p in self.points for c in p)
 
 
-def _check_radius(r, top: int | None) -> None:
-    """Raise ValueError unless r is an integer in 1..top, or any r >= 1 when top is None."""
+def _check_radius(r, n: int) -> None:
+    """Raise ValueError unless r is an integer in 1..n-1, or any integer r >= 1 on a lone point (n = 1)."""
     if isinstance(r, bool) or not isinstance(r, Integral):
         raise ValueError(f"r must be an integer, got {r!r}")
-    if top is None:
-        if r < 1:
-            raise ValueError(f"r must be >= 1, got {r}")
-    elif not 1 <= r <= top:
-        raise ValueError(f"r must be in 1..{top}, got {r}")
+    if n == 1 and r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if n > 1 and not 1 <= r <= n - 1:
+        raise ValueError(f"r must be in 1..{n - 1} for n={n}, got {r}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ class NeighborTable:
         """The first k columns as an n x k array: every r = k neighborhood."""
         if self.n != n:
             raise ValueError("table does not match point set")
-        _check_radius(k, n - 1)
+        _check_radius(k, n)
         if self.width < k:
             raise ValueError(f"table width {self.width} is below r={k}")
         # rows cut to k first: n*k entries exactly when no row is shorter than k
@@ -282,13 +281,15 @@ def _screened_sort(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_exact_sort` on a line of Python ints, with float64 proposing the order.
 
-    x holds the exact coordinates, shifted to >= 0 and below 2^1000, and
-    flt the same in float64.  Row i's candidates are the point and its left
-    neighbors going outward (columns 0..split[i]), then its right ones.
-    Returns rank keys in place of `_exact_sort`'s distances and the
-    neighbors in its order.  A key is the column, or on the farther of two
-    tied columns the nearer one's: ascending, and equal exactly on ties (a
-    line has at most two points at one distance from a third).
+    x holds the exact coordinates, shifted to >= 0, and flt the same shifted
+    right by t = max(0, span bits - 1000) bits in float64 (points closer
+    than 2^t may share a float; integers re-sort their run).  Row i's
+    candidates are the point and its left neighbors going outward (columns
+    0..split[i]), then its right ones.  Returns rank keys in place of
+    `_exact_sort`'s distances and the neighbors in its order.  A key is the
+    column, or on the farther of two tied columns the nearer one's:
+    ascending, and equal exactly on ties (a line has at most two points at
+    one distance from a third).
     """
     width = cand.shape[1]
     here = flt[rows, None]
@@ -297,21 +298,22 @@ def _screened_sort(
     flat = (order + np.arange(0, order.size, width)[:, None]).ravel()
     dist, idx = dist.ravel()[flat], cand.ravel()[flat]  # row after row, ascending
     left = (order <= split).ravel()
-    # Float error (u = 2^-53): each coordinate rounds to float64 within u*x
-    # and |dx| rounds once more, so a float distance is within
-    # (2 + u)u(x_c + x_v) <= 2.01u(2x_v + dist) of the exact one, because
-    # x_c + x_v <= 2x_v + |dx|.  err = 2^-50 (2x_v + dist) = 8u(2x_v + dist)
-    # is that bound with a factor of 3.9 to spare for its own rounding and
-    # the gap's.  Both dist +- err rise with dist, so a link whose gap
-    # exceeds its two ends' err, at most twice the farther one's, proves
-    # every entry before it strictly nearer than every entry after it.
-    twice_err = ((2 * here + dist.reshape(cand.shape)) * 2.0**-49).ravel()
+    # Float error (u = 2^-53), in units of 2^t: y = x >> t floors both ends
+    # alike, so |dy| is within 1 of |dx| / 2^t.  Each y rounds to float64
+    # within u*y and |dy| once more, so a float distance is within
+    # (2 + u)u(y_c + y_v) + 1 <= 2.01u(2y_v + dist) + 1 of |dx| / 2^t, as
+    # y_c + y_v <= 2y_v + |dy|.  err = 2^-50 (2y_v + dist) + 2 is that bound
+    # with a factor of 2 to spare for its own rounding and the gap's.  Both
+    # dist +- err rise with dist, so a link whose gap exceeds its two ends'
+    # err, at most twice the farther one's, proves every entry before it
+    # strictly nearer than every entry after it.
+    twice_err = ((2 * here + dist.reshape(cand.shape)) * 2.0**-49 + 4).ravel()
     close = dist[1:] - dist[:-1] <= twice_err[1:]  # close[p]: the link from entry p to p + 1
     close[width - 1 :: width] = False  # a row's last entry links to nothing
-    # One side's entries are in exact order already: rounding is monotone,
-    # so their float distances never fall going outward, and the stable sort
-    # keeps them in candidate order.  Only a close link between the sides
-    # is compared on integers.
+    # One side's entries are in exact order already: the shift and rounding
+    # are monotone, so their float distances never fall going outward, and
+    # the stable sort keeps them in candidate order.  Only a close link
+    # between the sides is compared on integers.
     links = np.flatnonzero(close & (left[1:] != left[:-1]))
     point = x[rows[links // width]]
     bad = links[np.abs(x[idx[links]] - point) >= np.abs(x[idx[links + 1]] - point)]
@@ -354,9 +356,10 @@ def _ranked_rows(pts: PointSet, keep: int):
       the point, its left neighbors going outward, then its right ones: two
       ascending runs of |dx|, which the stable sort merges in linear time,
       so a full-width row costs O(n) comparisons, not a sort.  A line of
-      Python ints (span >= 2^62) below span 2^1000 is screened: float64
-      proposes the order, and integers decide only the links between the
-      two runs that float cannot prove (`_screened_sort`).
+      Python ints (span >= 2^62) is screened at any span: float64 proposes
+      the order from coordinates shifted right to fit 1000 bits, and
+      integers decide the links between the two runs that float cannot
+      prove (`_screened_sort`), such as those among points the shift merges.
     - The plane, when float64 holds every coordinate exactly (span < 2^53),
       ranks the point and the k-d tree's keep + 5 nominees, on each row
       where a float guard proves they contain every point that can rank
@@ -367,7 +370,7 @@ def _ranked_rows(pts: PointSet, keep: int):
     n = pts.n
     arr, span = _ranking(pts).coords
     everyone = np.arange(n)
-    screened = pts.dim == 1 and arr.dtype == object and span < 2**1000  # float64 holds it without overflow
+    screened = pts.dim == 1 and arr.dtype == object
     # rows per block: ~2^20 int64 entries, or ~2^14 on a screened line (~60
     # bytes of arrays each), or ~2^12 Python ints (each ~100 bytes)
     budget = 1 << 20 if arr.dtype == np.int64 else 1 << 14 if screened else 1 << 12
@@ -378,7 +381,7 @@ def _ranked_rows(pts: PointSet, keep: int):
         place = np.empty(n, dtype=np.intp)
         place[by_x] = everyone
         step = np.arange(window)
-        flt = arr[:, 0].astype(np.float64) if screened else None
+        flt = (arr[:, 0] >> max(0, span.bit_length() - 1000)).astype(np.float64) if screened else None
     elif span < 2**53 and keep + 6 < n:
         from scipy.spatial import cKDTree  # imported on first use: it takes ~0.4 s to load
 
@@ -484,9 +487,9 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     ranking for k serves every request up to k + 4; a planar ranking over
     all points keeps k + 1 columns.  A line always ranks each point's
     min(2k+3, n) places around it in sorted order, in time linear in that
-    window, and keeps k + 1 columns; a line of Python ints below span 2^1000
-    is ranked in float64 first, and integers decide every link float cannot
-    prove.  Ties are checked per request, within the requested width only.
+    window, and keeps k + 1 columns; a line of Python ints ranks in float64
+    shifted to 1000 bits, and integers decide the links float cannot prove,
+    as between points closer than the shift.  Ties are checked per request.
     """
     order = nearest_order(pts, k)
     profile: list[tuple[int, ...]] = []
@@ -548,11 +551,8 @@ def load_points_csv(path: str | Path) -> PointSet:
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    if header == ["x"]:
-        dim = 1
-    elif header == ["x", "y"]:
-        dim = 2
-    else:
+    dim = {("x",): 1, ("x", "y"): 2}.get(tuple(header))
+    if dim is None:
         raise ParseError(f"{path}: header must be 'x' or 'x,y', got {header}")
     pts = []
     for lineno, row in enumerate(rows[1:], start=2):
@@ -577,7 +577,7 @@ def load_points_json(path: str | Path) -> PointSet:
     with open(path) as fh:
         try:
             data = json.load(fh, parse_float=str)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the int digit limit
             raise ParseError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or "dim" not in data or "points" not in data:
         raise ParseError(f"{path}: expected an object with 'dim' and 'points'")

@@ -45,7 +45,7 @@ def greedy_max_r_multipacking_1d(pts: PointSet, r: int) -> SolveReport:
     if pts.dim != 1:
         raise ValueError(f"greedy sweep needs dimension 1, got {pts.dim}")
     n = pts.n
-    _check_radius(r, n - 1)
+    _check_radius(r, n)
     profile = nearest_order(pts, r)  # profile[v, k] is v's (k+1)-th nearest point
     by_x = sorted(range(n), key=lambda i: pts[i][0])
     dtype = np.min_scalar_type(n + 1)

@@ -81,7 +81,7 @@ def is_r_multipacking(
     for it, as `bruteforce_max_r_multipacking` allows.
     """
     if pts.n == table.n == 1:
-        _check_radius(r, None)
+        _check_radius(r, 1)
         return _check_order(np.empty((1, 0), dtype=np.intp), members)
     return _check_order(table._prefix(pts.n, r), members)
 
@@ -202,7 +202,7 @@ def bruteforce_max_r_multipacking(pts: PointSet, r: int) -> SolveReport:
     """
     n = pts.n
     _check_oracle_size(n)
-    _check_radius(r, None if n == 1 else n - 1)
+    _check_radius(r, n)
     if n == 1:
         return SolveReport(size=1, indices=(0,), r=r, method="bruteforce", stats={"subsets": 2})
     scan = _violation_radius_scan(nearest_order(pts, r)[None])
@@ -235,7 +235,7 @@ def load_witness(path: str | Path) -> tuple[tuple[int, ...], int | None]:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the int digit limit
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or "indices" not in data:
         raise ValueError(f"{path}: expected an object with 'indices'")

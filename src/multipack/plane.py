@@ -115,10 +115,10 @@ def parse_edge_list(text: str, n: int | None = None) -> ConflictGraph:
         line = line.strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        a, b = int(parts[0]), int(parts[1])
+        try:
+            a, b = map(int, line.split())
+        except ValueError:  # not two tokens, or one that is not an integer
+            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}") from None
         top = max(top, a, b)
         edges.append((a, b))
     size = n if n is not None else top + 1

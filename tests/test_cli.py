@@ -297,6 +297,15 @@ def test_gen_pentagon_matches_packaged_fixture(tmp_path, capsys):
     assert out.read_bytes() == _fixture_path("pentagon5.csv").read_bytes()
 
 
+def test_gen_square4_matches_packaged_fixture(tmp_path, capsys):
+    from multipack.instances import _fixture_path
+
+    out = tmp_path / "square4.csv"
+    code, _, _ = run(capsys, "gen", "--family", "square4", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == _fixture_path("square4.csv").read_bytes()
+
+
 def test_gen_random_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -503,6 +512,27 @@ def test_huge_exponent_exits_2(tmp_path, capsys, token):
             assert code == 2 and out == ""
             error = f"bad coordinate {token!r}: exponent above {sys.get_int_max_str_digits()}"
             assert json.loads(err) == {"error": error, "kind": "parse"}
+
+
+def test_json_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    """A JSON integer too long for int() is a parse error naming the points file, and an input
+    error naming the witness file, as the same token in a CSV is a parse error."""
+    digits = "5" * (sys.get_int_max_str_digits() + 1)
+    points, line = tmp_path / "long.json", tmp_path / "line.json"
+    points.write_text(f'{{"dim": 1, "points": [[{digits}], [2]]}}')
+    line.write_text('{"dim": 1, "points": [[0], [2], [7]]}')
+    witness, long_witness = tmp_path / "witness.json", tmp_path / "long_witness.json"
+    witness.write_text('{"indices": [0], "r": 1}')
+    long_witness.write_text(f'{{"indices": [0], "r": {digits}}}')
+    for argv, kind, named in (
+        (("solve", "--input", str(points), "--r", "1"), "parse", points),
+        (("check", "--input", str(points), "--set", str(witness)), "parse", points),
+        (("check", "--input", str(line), "--set", str(long_witness)), "input", long_witness),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        report = json.loads(err)
+        assert report["kind"] == kind and report["error"].startswith(f"{named}: "), argv
 
 
 @pytest.mark.parametrize("dim", ["true", "false"])

@@ -485,8 +485,9 @@ def _with_ends(values, span):
     return [(v,) for v in dict.fromkeys([0, span, *values])]
 
 
-# Lines of Python ints (span >= 2^62): below span 2^1000 float64 screens the
-# ranking and integers confirm it; at or above it every row ranks exactly.
+# Lines of Python ints (span >= 2^62): float64 screens the ranking at any
+# span, on coordinates shifted right until the span fits 1000 bits, and
+# integers confirm it.
 _wide_line = st.integers(62, 1100).flatmap(
     lambda e: st.lists(st.integers(0, 2**e), max_size=12).map(lambda xs: _with_ends(xs, 2**e))
 )
@@ -506,8 +507,34 @@ _powers_line = st.lists(st.tuples(st.integers(2, 400), st.integers(-3, 3)), min_
 )
 
 
+@st.composite
+def _clustered_line(draw):
+    """Points within 2^40 of one to three centres on a line past float64's range, so many collapse
+    under the shift, plus pairs c +- d that tie exactly from their centre c."""
+    span = 2 ** draw(st.integers(1000, 1300))
+    centres = draw(st.lists(st.integers(0, span), min_size=1, max_size=3, unique=True))
+    near = st.tuples(st.sampled_from(centres), st.integers(-(2**40), 2**40))
+    values = [c + d for c, d in draw(st.lists(near, max_size=10))]
+    for c, d in draw(st.lists(st.tuples(st.sampled_from(centres), st.integers(1, 2**40)), max_size=2)):
+        values += [c, c - d, c + d]
+    return _with_ends([v for v in values if 0 <= v <= span], span)
+
+
+# the shift floors each coordinate by up to one unit of 2^t, t = span bits - 1000: near 0,
+# where float64 holds the shifted values exactly, that unit alone can misorder a row
+_shift_unit_line = st.integers(1000, 1300).flatmap(
+    lambda e: st.lists(st.tuples(st.integers(0, 12), st.integers(-3, 3)), min_size=1, max_size=12).map(
+        lambda ps: _with_ends([m * 2 ** (e - 999) + d for m, d in ps if m or d >= 0], 2**e)
+    )
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(points=st.one_of(_wide_line, _near_tie_line, _ulp_line, _tie_line, _powers_line))
+@given(
+    points=st.one_of(
+        _wide_line, _near_tie_line, _ulp_line, _tie_line, _powers_line, _clustered_line(), _shift_unit_line
+    )
+)
 def test_python_int_line_ranking_property(points):
     """Every width of a Python-int line ranks and ties as plain sorting does."""
     pts = PointSet.of(points)
@@ -559,19 +586,13 @@ def _lower_rows(n, k):
 
 
 def test_screened_lower_family_ranks_without_exact_sort(monkeypatch):
-    """A full-width ranking of lower_family_1d(300) screens every row without falling back to `_exact_sort`."""
+    """Full-width rankings of lower_family_1d(300) and (1100) screen every row without falling back to
+    `_exact_sort`; the second spans 2^1100 - 2, past float64's range, and the screen shifts it first."""
     calls = _counted(monkeypatch, geometry, "_exact_sort")
-    pts = lower_family_1d(300)
-    assert nearest_order(pts, pts.n - 1).tolist() == _lower_rows(pts.n, pts.n - 1)
+    for n in (300, 1100):
+        pts = lower_family_1d(n)
+        assert nearest_order(pts, pts.n - 1).tolist() == _lower_rows(pts.n, pts.n - 1), n
     assert calls == []
-
-
-def test_lines_past_span_2_1000_rank_exactly(monkeypatch):
-    """lower_family_1d(1100) spans 2^1100 - 2: float64 would overflow, so `_exact_sort` ranks every row."""
-    calls = _counted(monkeypatch, geometry, "_exact_sort")
-    pts = lower_family_1d(1100)
-    assert nearest_order(pts, 2).tolist() == _lower_rows(pts.n, 2)
-    assert sum(len(rows) for _, rows, _ in calls) == pts.n
 
 
 def test_audited_draw_ranks_once_for_the_oracle(monkeypatch):
@@ -683,6 +704,30 @@ def test_csv_header_checked(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ParseError):
         load_points_csv(path)
+
+
+def test_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x,y\n1,2\n\n  \n3,4\n")
+    assert load_points_csv(path).points == ((1, 2), (3, 4))
+
+
+@pytest.mark.parametrize("name, text, error", [
+    ("empty.csv", "", "empty file"),
+    ("wide.csv", "x,y\n1,2\n3,4,5\n", ":3: expected 2 values, got 3"),
+    ("narrow.csv", "x,y\n1,2\n3\n", ":3: expected 2 values, got 1"),
+    ("header_only.csv", "x\n", ": no points"),
+    ("cut.json", '{"dim": 1, "points": [[1], [2]', "Expecting"),
+    ("long.json", '{"dim": 1, "points": [[LONG], [2]]}', "integer string conversion"),
+])
+def test_malformed_point_files_name_the_file(tmp_path, name, text, error):
+    """Each fault in a point file is a ParseError that names the file; a JSON integer past the
+    int digit limit is one too."""
+    path = tmp_path / name
+    path.write_text(text.replace("LONG", "5" * (sys.get_int_max_str_digits() + 1)))
+    with pytest.raises(ParseError) as info:
+        load_points(path)
+    assert str(info.value).startswith(str(path)) and error in str(info.value)
 
 
 def test_json_round_trip(tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -392,6 +393,21 @@ def test_witness_json_round_trip(tmp_path):
     indices, r = load_witness(path)
     assert indices == (0, 3)
     assert r == 5
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"indices": [0], "r": 1', "Expecting ',' delimiter"),
+    ('{"indices": [0], "r": 1.5}', "'r' must be an integer"),
+    ('{"indices": [0], "r": "2"}', "'r' must be an integer"),
+    ('{"indices": [0], "r": LONG}', "integer string conversion"),
+], ids=["cut", "fraction", "text", "long"])
+def test_load_witness_names_the_file(tmp_path, text, error):
+    """Malformed JSON, a non-integer r and an integer past the int digit limit all name the file."""
+    path = tmp_path / "witness.json"
+    path.write_text(text.replace("LONG", "7" * (sys.get_int_max_str_digits() + 1)))
+    with pytest.raises(ValueError) as info:
+        load_witness(path)
+    assert str(info.value).startswith(f"{path}: ") and error in str(info.value)
 
 
 def test_load_witness_accepts_full_report(tmp_path):

@@ -87,10 +87,21 @@ def test_forest_dp_path_and_star():
     ("0 5\n", "vertex 5 out of range"),
     ("0 -1\n", "vertex -1 out of range"),
     ("1 1\n", "loop at 1"),
+    ("0 1\n1 x\n", "line 2: expected 'u v', got '1 x'"),
+    ("0 1 2\n", "line 1: expected 'u v', got '0 1 2'"),
+    ("0 1\n\n2\n", "line 3: expected 'u v', got '2'"),
 ])
 def test_parse_edge_list_rejects_bad_endpoints(text, error):
     with pytest.raises(ValueError, match=f"^{error}$"):
         parse_edge_list(text, n=3)
+
+
+def test_parse_edge_list_skips_blank_lines():
+    graph = parse_edge_list("0 1\n\n  \n1 2\n")
+    assert graph.n == 3 and list(graph.edges()) == [(0, 1), (1, 2)]
+    for text in ("", "\n  \n"):
+        with pytest.raises(ValueError, match="^edge list is empty and no n was given$"):
+            parse_edge_list(text)
 
 
 def test_forest_dp_rejects_cycles():
