@@ -68,7 +68,7 @@ def _fpt(pts, r, args):
 # each method's one solvable radius (None: any), fewest points and call
 # (pts, r, args) -> SolveReport, in --method order
 _METHODS = {
-    "greedy1d": (None, 2, lambda pts, r, args: greedy_max_r_multipacking_1d(pts, r)),
+    "greedy1d": (None, 1, lambda pts, r, args: greedy_max_r_multipacking_1d(pts, r)),
     "nng": (1, 1, lambda pts, r, args: max_1_multipacking(pts)),
     "exact": (2, 3, lambda pts, r, args: max_2_multipacking_exact(pts, max_nodes=args.budget)),
     "fpt": (2, 3, _fpt),

@@ -10,6 +10,7 @@ reported or raised, never silently broken.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -534,34 +535,48 @@ def perturb(pts: PointSet, epsilon: Coord, seed: int) -> PointSet:
 # point file formats
 # ---------------------------------------------------------------------------
 
-def _parsed_point_set(path: str | Path, pts: list[tuple]) -> PointSet:
-    """The point set of a parsed file; ParseError when it holds none or is invalid."""
+def _parsed_point_set(path: str | Path, pts: list[tuple], dim: int) -> PointSet:
+    """The point set of a parsed file, whose coordinates `parse_coordinate`
+    has already normalized; ParseError when it holds none or is invalid."""
     if not pts:
         raise ParseError(f"{path}: no points")
     try:
-        return PointSet.of(pts)
+        return PointSet(points=tuple(pts), dim=dim)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
 def load_points_csv(path: str | Path) -> PointSet:
-    """Read points from CSV with header 'x' or 'x,y'; values decimal or 'p/q'."""
+    """Read points from CSV with header 'x' or 'x,y'; values decimal or 'p/q'.
+
+    The whole file is decoded first, so an undecodable byte anywhere wins
+    over every other fault.  Rows are then streamed from that text and
+    parsed one at a time: the first faulty row, in file order, names the
+    error (a field past `csv.field_size_limit()`, a wrong number of values
+    or a bad coordinate), and faults of the whole set (no points, a
+    duplicate point) come last.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    dim = {("x",): 1, ("x", "y"): 2}.get(tuple(header))
-    if dim is None:
-        raise ParseError(f"{path}: header must be 'x' or 'x,y', got {header}")
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    dim = None
     pts = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != dim:
-            raise ParseError(f"{path}:{lineno}: expected {dim} values, got {len(row)}")
-        pts.append(tuple(parse_coordinate(tok) for tok in row))
-    return _parsed_point_set(path, pts)
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if dim is None:
+                header = [h.strip() for h in row]
+                dim = {("x",): 1, ("x", "y"): 2}.get(tuple(header))
+                if dim is None:
+                    raise ParseError(f"{path}: header must be 'x' or 'x,y', got {header}")
+            elif row and (len(row) > 1 or row[0].strip()):  # blank lines are skipped
+                if len(row) != dim:
+                    raise ParseError(f"{path}:{lineno}: expected {dim} values, got {len(row)}")
+                pts.append(tuple(map(parse_coordinate, row)))
+    except csv.Error as exc:  # e.g. a field past the reader's size limit
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    if dim is None:
+        raise ParseError(f"{path}: empty file")
+    return _parsed_point_set(path, pts, dim)
 
 
 def save_points_csv(pts: PointSet, path: str | Path) -> None:
@@ -596,7 +611,7 @@ def load_points_json(path: str | Path) -> PointSet:
                 raise ParseError(f"{path}: point {i} has non-numeric coordinate {value!r}")
             coords.append(value if isinstance(value, int) else parse_coordinate(value))
         pts.append(tuple(coords))
-    return _parsed_point_set(path, pts)
+    return _parsed_point_set(path, pts, dim)
 
 
 def save_points_json(pts: PointSet, path: str | Path) -> None:

@@ -40,12 +40,15 @@ def greedy_max_r_multipacking_1d(pts: PointSet, r: int) -> SolveReport:
     O(n*r) and the sweep is n banded minimum updates of at most r + 1
     entries each.  Memory is the n x (r+1) table in the narrowest unsigned
     dtype that holds n + 1, plus row blocks of about 2^20 entries.
-    stats["checks"] counts the points swept, which is n.
+    stats["checks"] counts the points swept, which is n.  A lone point is
+    its own maximum multipacking at every r >= 1.
     """
     if pts.dim != 1:
         raise ValueError(f"greedy sweep needs dimension 1, got {pts.dim}")
     n = pts.n
     _check_radius(r, n)
+    if n == 1:  # every ball around the lone point holds at most itself
+        return SolveReport(size=1, indices=(0,), r=r, method="greedy1d", stats={"checks": 1})
     profile = nearest_order(pts, r)  # profile[v, k] is v's (k+1)-th nearest point
     by_x = sorted(range(n), key=lambda i: pts[i][0])
     dtype = np.min_scalar_type(n + 1)

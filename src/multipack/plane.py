@@ -7,13 +7,16 @@ sets of a conflict graph with one triangle {v, first(v), second(v)} per
 point.  Most of its vertices are simplicial (their neighbors form a
 clique), which the exact search takes outright before it branches; the
 maximum degree of at most 17 bounds the size-k search's branching tree
-and the greedy approximation below.
+and the greedy approximation below.  That greedy picks vertices from a
+bucket queue (one heap of vertex ids per degree) and then improves its set
+in local-search rounds, each a fixed number of numpy passes over the
+graph's directed edge keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain
 from numbers import Integral
 from typing import Callable, Iterable
@@ -33,7 +36,11 @@ class NotAForestError(RuntimeError):
 @dataclass(frozen=True)
 class ConflictGraph:
     """Undirected simple graph in canonical form: row v holds v's neighbors,
-    integers in 0..n-1 in strictly increasing order, each edge at both ends."""
+    integers in 0..n-1 in strictly increasing order, each edge at both ends.
+
+    Validation keeps its directed edge keys v * n + u, ascending, in a
+    private attribute `_keys` that is not a field; the greedy's local search
+    reads them."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
@@ -51,8 +58,11 @@ class ConflictGraph:
             keys = owner * n + flat  # (row, neighbor) pairs: strictly increasing iff every row is
             mirrored = np.sort(flat * n + owner)  # the same pairs reversed, in that order
             if not (flat == owner).any() and (np.diff(keys) > 0).all() and np.array_equal(keys, mirrored):
+                object.__setattr__(self, "_keys", keys)  # frozen, but not a field
                 return
         _raise_first_fault(n, self.adj)  # returns only when the bulk test cannot read the entries as int
+        flat = np.array([int(u) for u in chain.from_iterable(self.adj)], dtype=np.int64)
+        object.__setattr__(self, "_keys", owner * n + flat)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ConflictGraph":
@@ -457,16 +467,31 @@ def fpt_2_multipacking(pts: PointSet, k: int, max_nodes: int | None = None) -> S
 # ---------------------------------------------------------------------------
 
 def _greedy_min_degree(graph: ConflictGraph) -> list[int]:
-    n = graph.n
+    """Minimum-degree greedy independent set, sorted (Halldórsson &
+    Radhakrishnan, Algorithmica 1997).
+
+    Repeatedly takes the live vertex of least (live degree, index) and kills
+    it and its live neighbors.  The queue is one heap of vertex ids per
+    degree, searched from the lowest non-empty one.  Degrees only fall, and
+    each fall pushes the vertex onto its new degree's heap, so the lowest
+    entry of a live vertex sits at its current degree; entries of dead
+    vertices are skipped when they pop.
+    """
     adj = graph.adj
-    alive = [True] * n
-    deg = [len(adj[v]) for v in range(n)]
-    heap = [(deg[v], v) for v in range(n)]
-    heapify(heap)
+    deg = list(map(len, adj))
+    alive = [True] * graph.n
+    buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)  # ascending ids: each list is already a heap
     chosen = []
-    while heap:
-        _, v = heappop(heap)
-        if not alive[v]:  # degrees only fall, each fall pushes: a live vertex pops at its current degree
+    low = 0
+    while True:
+        while low < len(buckets) and not buckets[low]:
+            low += 1
+        if low == len(buckets):
+            return sorted(chosen)
+        v = heappop(buckets[low])
+        if not alive[v]:
             continue
         chosen.append(v)
         killed = [v] + [u for u in adj[v] if alive[u]]
@@ -475,71 +500,73 @@ def _greedy_min_degree(graph: ConflictGraph) -> list[int]:
         for u in killed:
             for w in adj[u]:
                 if alive[w]:
-                    deg[w] -= 1
-                    heappush(heap, (deg[w], w))
-    return sorted(chosen)
+                    d = deg[w] = deg[w] - 1
+                    heappush(buckets[d], w)
+                    if d < low:
+                        low = d
 
 
 def _local_search(graph: ConflictGraph, members: list[int]) -> tuple[list[int], int, int]:
     """Improve an independent set until no free insert or 1-out/2-in swap applies.
 
-    `members` must be sorted.  Each round counts every vertex's blockers
-    (the members in its closed neighborhood) and then inserts the smallest
-    vertex with none or, failing that, makes the first swap: the first member
-    u, in ascending order, whose pool -- the vertices blocked by u alone, in
-    ascending order -- holds a non-adjacent pair, and the first such pair.
-    The pools are bucketed by owner in one pass, so a round costs O(n * D)
-    for maximum degree D.  Returns (members, rounds, improvements); every
-    round but the last makes one improvement.
+    Each round counts every vertex's blockers (the members in its closed
+    neighborhood) with one `bincount` over the graph's directed edges, then
+    inserts the smallest vertex with none or, failing that, makes the first
+    swap: the first member u, in ascending order, whose pool -- the vertices
+    blocked by u alone, in ascending order -- holds a non-adjacent pair, and
+    the first such pair.  The pools are the edges (u, x) from a member to a
+    vertex of count 1, which the edge order already lists by (u, x); their
+    pairs are listed in (u, x, y) order and looked up in the sorted edge
+    keys.  (u itself is in its pool too, but adjacent to all of it.)  So a
+    round is a fixed number of array passes, O(n * D) for maximum degree D.
+    Returns (sorted members, rounds, improvements); every round but the last
+    makes one improvement.
     """
     n = graph.n
-    adj = graph.adj
+    keys = graph._keys
+    src, dst = np.divmod(keys, n)
+    keys = np.append(keys, n * n)  # above every key: a lookup never runs off the end
+    chosen = np.zeros(n, dtype=bool)
+    chosen[members] = True
     rounds = 0
     improvements = 0
     while True:
         rounds += 1
-        count = [0] * n
-        owner = [-1] * n
-        for w in members:
-            for x in (w, *adj[w]):
-                count[x] += 1
-                owner[x] = w
-        free = None
-        pools: dict[int, list[int]] = {}
-        for x in range(n):
-            if count[x] == 0:
-                free = x
-                break
-            if count[x] == 1:
-                pools.setdefault(owner[x], []).append(x)
-        if free is not None:
-            members.append(free)
-            members.sort()
+        covers = chosen[src]
+        count = np.bincount(dst[covers], minlength=n) + chosen
+        free = count.argmin()
+        if count[free] == 0:
+            chosen[free] = True
             improvements += 1
             continue
-        for u in members:
-            pool = pools.get(u, [])
-            pair = next(((x, y) for i, x in enumerate(pool) for y in pool[i + 1 :] if y not in adj[x]), None)
-            if pair is not None:
-                members.remove(u)
-                members.extend(pair)
-                members.sort()
-                improvements += 1
-                break
-        else:
-            return members, rounds, improvements
+        alone = covers & (count[dst] == 1)
+        owner, pool = src[alone], dst[alone]
+        # pair (i, j), i < j, for each two entries of one pool, by (i, j)
+        after = np.arange(1, owner.size + 1)
+        later = np.searchsorted(owner, owner, side="right") - after
+        first = np.repeat(after - 1, later)
+        second = np.arange(first.size) + np.repeat(after + later - np.cumsum(later), later)
+        pair = pool[first] * n + pool[second]
+        apart = np.flatnonzero(keys[np.searchsorted(keys, pair)] != pair)
+        if not apart.size:
+            return np.flatnonzero(chosen).tolist(), rounds, improvements
+        i, j = first[apart[0]], second[apart[0]]
+        chosen[owner[i]] = False
+        chosen[pool[i]] = chosen[pool[j]] = True
+        improvements += 1
 
 
 def greedy_2_multipacking(pts: PointSet) -> SolveReport:
     """Minimum-degree greedy on the conflict graph plus swap improvement.
 
-    The greedy pass removes at most 18 vertices per pick, so the result has
-    at least n/18 members.  Local search then repeatedly inserts any vertex
+    The greedy pass takes vertices from a bucket queue by least (degree,
+    index) and removes at most 18 vertices per pick, so the result has at
+    least n/18 members.  Local search then repeatedly inserts any vertex
     that conflicts with nothing and applies 1-out/2-in swaps (drop one
     member, add two compatible vertices) until neither step applies.  Each
     round of it is one O(n * D) pass over the conflict graph (maximum degree
-    D <= 17) and makes one improvement, except the last, so rounds =
-    improvements + 1.
+    D <= 17), run as array passes over its directed edges, and makes one
+    improvement, except the last, so rounds = improvements + 1.
     """
     graph = build_conflict_graph(pts)
     members = _greedy_min_degree(graph)

@@ -1,6 +1,7 @@
 """Shared test utilities: independent reference solvers and small builders."""
 
 import itertools
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -17,7 +18,6 @@ from multipack import (
     squared_distance,
 )
 from multipack.geometry import nearest_order, nearest_profile
-from multipack.plane import _greedy_min_degree
 
 
 def pts1d(*coords) -> PointSet:
@@ -304,7 +304,7 @@ def reference_exact_max_is(graph):
     starting bound, so the answer does not depend on it.
     """
     adj = graph.adj
-    seed = set(_greedy_min_degree(graph))
+    seed = set(reference_min_degree_greedy(graph))
     seen = set()
     witness = []
     for root in range(graph.n):
@@ -398,6 +398,35 @@ def reference_fpt(graph, k, max_nodes=None):
 
     found = find((1 << graph.n) - 1, k)
     return (None if found is None else tuple(_bits(found))), nodes
+
+
+def reference_min_degree_greedy(graph):
+    """The minimum-degree greedy as it was: one heap of (degree, vertex) tuples.
+
+    Takes the live vertex of least (degree, index), kills it and its live
+    neighbors, and returns the taken vertices sorted.
+    """
+    n = graph.n
+    adj = graph.adj
+    alive = [True] * n
+    deg = [len(adj[v]) for v in range(n)]
+    heap = [(deg[v], v) for v in range(n)]
+    heapify(heap)
+    chosen = []
+    while heap:
+        _, v = heappop(heap)
+        if not alive[v]:  # degrees only fall, each fall pushes: a live vertex pops at its current degree
+            continue
+        chosen.append(v)
+        killed = [v] + [u for u in adj[v] if alive[u]]
+        for u in killed:
+            alive[u] = False
+        for u in killed:
+            for w in adj[u]:
+                if alive[w]:
+                    deg[w] -= 1
+                    heappush(heap, (deg[w], w))
+    return sorted(chosen)
 
 
 def reference_local_search(graph, members):

@@ -1,3 +1,4 @@
+import csv
 import fractions
 import math
 import random
@@ -717,6 +718,7 @@ def test_csv_skips_blank_rows(tmp_path):
     ("wide.csv", "x,y\n1,2\n3,4,5\n", ":3: expected 2 values, got 3"),
     ("narrow.csv", "x,y\n1,2\n3\n", ":3: expected 2 values, got 1"),
     ("header_only.csv", "x\n", ": no points"),
+    ("long_field.csv", 'x,y\n1,"FIELD"\n3,4\n', ":2: field larger than field limit"),
     ("cut.json", '{"dim": 1, "points": [[1], [2]', "Expecting"),
     ("long.json", '{"dim": 1, "points": [[LONG], [2]]}', "integer string conversion"),
 ])
@@ -724,10 +726,40 @@ def test_malformed_point_files_name_the_file(tmp_path, name, text, error):
     """Each fault in a point file is a ParseError that names the file; a JSON integer past the
     int digit limit is one too."""
     path = tmp_path / name
-    path.write_text(text.replace("LONG", "5" * (sys.get_int_max_str_digits() + 1)))
+    path.write_text(text.replace("LONG", "5" * (sys.get_int_max_str_digits() + 1))
+                    .replace("FIELD", "a" * (csv.field_size_limit() + 1)))
     with pytest.raises(ParseError) as info:
         load_points(path)
     assert str(info.value).startswith(str(path)) and error in str(info.value)
+
+
+def test_csv_faults_are_reported_in_file_order(tmp_path):
+    """An undecodable byte anywhere wins; otherwise the first faulty row, a field past the
+    reader's limit included, names the error, and faults of the whole set come last."""
+    path = tmp_path / "faults.csv"
+    long_field = '"' + "a" * (csv.field_size_limit() + 1) + '"'
+    cases = [
+        (b"x,y\n1,two\n3,4\n\xff\n", UnicodeDecodeError, "can't decode"),
+        (f"x,y\n1,2,3\n{long_field},4\n".encode(), ParseError, f"{path}:2: expected 2 values, got 3"),
+        (f"x,y\n1,2\n\n{long_field},4\n1,2,3\n".encode(), ParseError, f"{path}:4: field larger"),
+        (b"x,y\n1,2\n3,x\n1,2\n", ParseError, "bad coordinate 'x'"),
+        (b"x,y\n1,2\n3,4\n1,2\n", ParseError, f"{path}: duplicate point (1, 2) at index 2"),
+    ]
+    for data, error, text in cases:
+        path.write_bytes(data)
+        with pytest.raises(error) as info:
+            load_points_csv(path)
+        assert text in str(info.value)
+
+
+def test_csv_streams_rows_with_their_line_endings_and_quotes(tmp_path):
+    """Rows stream from the decoded text with the file's own line endings and quoting."""
+    path = tmp_path / "rows.csv"
+    rows = "".join(f'{i},"{-i}/3"\r\n' if i % 2 else f"{i}, {i * i}\n" for i in range(3000))
+    path.write_text("x , y\r\n" + rows, newline="")
+    pts = load_points_csv(path)
+    assert pts.dim == 2 and pts.n == 3000
+    assert pts[1] == (1, Fraction(-1, 3)) and pts[2] == (2, 4) and pts[3] == (3, -1)
 
 
 def test_json_round_trip(tmp_path):

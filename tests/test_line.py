@@ -56,6 +56,17 @@ def test_greedy_unscaled_upper_seven():
     assert report.indices == (0, 3, 5)
 
 
+def test_greedy_solves_a_lone_point():
+    """One point is its own maximum multipacking at every r >= 1, as the oracle says."""
+    one = pts1d(7)
+    for r in (1, 2, 5):
+        report = greedy_max_r_multipacking_1d(one, r)
+        assert (report.size, report.indices, report.r, report.stats) == (1, (0,), r, {"checks": 1})
+        assert report.indices == bruteforce_max_r_multipacking(one, r).indices
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        greedy_max_r_multipacking_1d(one, 0)
+
+
 def test_greedy_rejects_2d_input():
     with pytest.raises(ValueError):
         greedy_max_r_multipacking_1d(pts2d((0, 0), (1, 2)), 1)

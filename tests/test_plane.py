@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -19,6 +19,7 @@ from helpers import (
     reference_fpt,
     reference_forest_mis,
     reference_local_search,
+    reference_min_degree_greedy,
 )
 from multipack import (
     BudgetExceededError,
@@ -649,6 +650,20 @@ def test_greedy_witnesses_are_pinned(pinned_greedy):
                                 "improvements": improvements, "max_degree": 8}
 
 
+# witness SHA-1, size and stats of greedy_2_multipacking(random_point_set(100000, seed=1,
+# audit="none")), recorded before the greedy ran on a bucket queue and array rounds: seven
+# rounds of free inserts and swaps
+GREEDY_PIN_100K = ("d4fdb0cd5862687f3214e96927c65f019b951222", 38871,
+                   {"greedy_size": 38865, "rounds": 7, "improvements": 6, "max_degree": 8})
+
+
+def test_greedy_witness_is_pinned_at_a_hundred_thousand_points():
+    report = greedy_2_multipacking(random_point_set(100_000, dim=2, seed=1, audit="none"))
+    digest, size, stats = GREEDY_PIN_100K
+    assert hashlib.sha1(repr(report.indices).encode()).hexdigest() == digest
+    assert (report.size, report.stats) == (size, stats)
+
+
 def _assert_local_fixpoint(pts, members):
     """No vertex is free and no member alone blocks two non-adjacent vertices.
 
@@ -697,6 +712,17 @@ _local_search_graphs = st.one_of(
 )
 
 
+_EDGELESS = [ConflictGraph.from_edges(n, []) for n in (1, 2, 5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_local_search_graphs)
+@example(graph=_EDGELESS[0])
+@example(graph=_EDGELESS[2])
+def test_min_degree_greedy_matches_reference(graph):
+    assert _greedy_min_degree(graph) == reference_min_degree_greedy(graph)
+
+
 @settings(max_examples=120, deadline=None)
 @given(graph=_local_search_graphs, data=st.data())
 def test_local_search_matches_reference(graph, data):
@@ -710,6 +736,13 @@ def test_local_search_matches_reference(graph, data):
     single = data.draw(st.integers(0, graph.n - 1), label="single")
     for start in ([], [single], sorted(maximal), _greedy_min_degree(graph)):
         assert _local_search(graph, list(start)) == reference_local_search(graph, list(start))
+
+
+def test_local_search_fills_an_edgeless_graph():
+    for graph in _EDGELESS:
+        for start in ([], [0], list(range(graph.n))):
+            expected = (list(range(graph.n)), graph.n - len(start) + 1, graph.n - len(start))
+            assert _local_search(graph, list(start)) == reference_local_search(graph, list(start)) == expected
 
 
 @settings(max_examples=200, deadline=None)
