@@ -260,21 +260,39 @@ def _ranking(pts: PointSet) -> _Ranking:
     return ranking
 
 
-def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort each row's candidates by exact distance, ties in candidate order.
+def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Sort each row's candidates by exact distance; cand None means every point, in index order.
 
-    A line ranks by |dx|, which orders and ties exactly as dx^2 does; the
-    plane ranks by squared distance.
+    A line ranks by |dx|, which orders and ties exactly as dx^2 does, with
+    a stable sort: tied columns stay in candidate order.  The plane ranks
+    by squared distance with numpy's default sort, then re-sorts each row
+    whose sorted distances hold two equal neighbors by (distance, index):
+    tied columns are in index order, as a stable sort over index-ordered
+    candidates leaves them.  Distances are built one coordinate column at
+    a time.
     """
-    diff = arr[cand] - arr[rows, None, :]
-    if arr.shape[1] == 1:
-        dist = np.abs(diff[:, :, 0])
+    diffs = [(col if cand is None else col[cand]) - col[rows, None] for col in arr.T]
+    plane = len(diffs) == 2
+    if plane:
+        dist, dy = diffs
+        dist *= dist
+        dy *= dy
+        dist += dy
+        order = np.argsort(dist, axis=1)
     else:
-        diff *= diff
-        dist = diff.sum(axis=2)
-    del diff
-    order = np.argsort(dist, axis=1, kind="stable")  # stable: ties stay in candidate order
-    return np.take_along_axis(dist, order, axis=1), np.take_along_axis(cand, order, axis=1)
+        dist = np.abs(diffs[0])
+        order = np.argsort(dist, axis=1, kind="stable")  # a window's two ascending runs merge in linear time
+    flat = (order + np.arange(0, order.size, order.shape[1])[:, None]).ravel()
+    dist = dist.ravel()[flat].reshape(order.shape)
+    idx = order if cand is None else cand.ravel()[flat].reshape(order.shape)
+    if plane:
+        tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
+        if tied.size:
+            # by (distance, index): each tied row's order among equal distances
+            fix = np.lexsort((idx[tied], dist[tied]))
+            dist[tied] = np.take_along_axis(dist[tied], fix, axis=1)
+            idx[tied] = np.take_along_axis(idx[tied], fix, axis=1)
+    return dist, idx
 
 
 def _screened_sort(
@@ -348,9 +366,10 @@ def _ranked_rows(pts: PointSet, keep: int):
     distances tie.  It is the distances themselves, or on a screened line
     (below) integer rank keys.  Column 0 is the point itself (distance 0)
     and columns 1..width are its width nearest neighbors, with the same
-    width >= keep in every block.  Tied columns are in candidate order:
-    callers sort a tied group before they report it.  Inputs differ only
-    in each row's candidates (and the guard on k-d tree rows):
+    width >= keep in every block.  Tied columns are in index order in the
+    plane and in candidate order on a line (`_exact_sort`): callers sort a
+    tied group before they report it.  Inputs differ only in each row's
+    candidates (and the guard on k-d tree rows):
     - A line always ranks the min(2*keep+1, n) places around the point in
       sorted order, which hold its keep nearest (any point farther along
       has keep points strictly between); width is keep.  The candidates are
@@ -362,11 +381,11 @@ def _ranked_rows(pts: PointSet, keep: int):
       integers decide the links between the two runs that float cannot
       prove (`_screened_sort`), such as those among points the shift merges.
     - The plane, when float64 holds every coordinate exactly (span < 2^53),
-      ranks the point and the k-d tree's keep + 5 nominees, on each row
-      where a float guard proves they contain every point that can rank
-      within the first keep + 4; width is keep + 4, every column the guard
-      can certify.  Other rows rank all points in index order, and width
-      is keep: a wider prefix would cost n^2.
+      ranks the point and the k-d tree's keep + 5 nominees, in the order
+      the tree returns them, on each row where a float guard proves they
+      contain every point that can rank within the first keep + 4; width is
+      keep + 4, every column the guard can certify.  Other rows rank all
+      points (cand None), and width is keep: a wider prefix would cost n^2.
     """
     n = pts.n
     arr, span = _ranking(pts).coords
@@ -388,7 +407,7 @@ def _ranked_rows(pts: PointSet, keep: int):
 
         window = keep + 6  # self, the kept prefix, and slack for the guard
         flt = arr.astype(np.float64)
-        nominees = np.sort(cKDTree(flt).query(flt, k=window)[1], axis=1)
+        nominees = cKDTree(flt).query(flt, k=window)[1]
         width = keep + 4  # the guard needs one nominee beyond the last kept column
     chunk = max(1, budget // window)
     for first in range(0, n, chunk):
@@ -399,7 +418,7 @@ def _ranked_rows(pts: PointSet, keep: int):
             split = at - start  # the point and its left neighbors: columns 0..split
             cand = by_x[np.where(step <= split, at - step, start + step)]
         else:
-            cand = np.broadcast_to(everyone, (len(rows), n)) if nominees is None else nominees[rows]
+            cand = None if nominees is None else nominees[rows]
         if screened:
             key, idx = _screened_sort(arr[:, 0], flt, rows, cand, split)
         else:
@@ -415,7 +434,7 @@ def _ranked_rows(pts: PointSet, keep: int):
             # without that proof are re-ranked over all points.
             bad = key[:, -1] - key[:, width] <= key[:, width] >> 40
             if bad.any():
-                full = _exact_sort(arr, rows[bad], np.broadcast_to(everyone, (int(bad.sum()), n)))
+                full = _exact_sort(arr, rows[bad], None)
                 key[bad], idx[bad] = (block[:, :window] for block in full)
         yield first, key[:, : width + 1], idx[:, : width + 1]
 
@@ -490,7 +509,10 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     min(2k+3, n) places around it in sorted order, in time linear in that
     window, and keeps k + 1 columns; a line of Python ints ranks in float64
     shifted to 1000 bits, and integers decide the links float cannot prove,
-    as between points closer than the shift.  Ties are checked per request.
+    as between points closer than the shift.  A planar row is sorted by
+    numpy's default sort, and only a row with two equal distances is
+    re-sorted by (distance, index), so tied columns sit in index order.
+    Ties are checked per request.
     """
     order = nearest_order(pts, k)
     profile: list[tuple[int, ...]] = []
@@ -562,7 +584,7 @@ def load_points_csv(path: str | Path) -> PointSet:
     dim = None
     pts = []
     try:
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
             if dim is None:
                 header = [h.strip() for h in row]
                 dim = {("x",): 1, ("x", "y"): 2}.get(tuple(header))
@@ -570,7 +592,7 @@ def load_points_csv(path: str | Path) -> PointSet:
                     raise ParseError(f"{path}: header must be 'x' or 'x,y', got {header}")
             elif row and (len(row) > 1 or row[0].strip()):  # blank lines are skipped
                 if len(row) != dim:
-                    raise ParseError(f"{path}:{lineno}: expected {dim} values, got {len(row)}")
+                    raise ParseError(f"{path}:{reader.line_num}: expected {dim} values, got {len(row)}")
                 pts.append(tuple(map(parse_coordinate, row)))
     except csv.Error as exc:  # e.g. a field past the reader's size limit
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None

@@ -38,9 +38,11 @@ class ConflictGraph:
     """Undirected simple graph in canonical form: row v holds v's neighbors,
     integers in 0..n-1 in strictly increasing order, each edge at both ends.
 
-    Validation keeps its directed edge keys v * n + u, ascending, in a
-    private attribute `_keys` that is not a field; the greedy's local search
-    reads them."""
+    Its directed edge keys v * n + u, ascending, live in a private
+    attribute `_keys` that is not a field; the greedy's local search reads
+    them.  A graph built here from index pairs is canonical by construction
+    and skips validation; one given as `ConflictGraph(n, adj)` or through
+    `from_edges` is validated, which sets the keys."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
@@ -73,7 +75,7 @@ class ConflictGraph:
             if not 0 <= u < n:
                 raise ValueError(f"vertex {u} out of range")
         both = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        return _from_pairs(n, both[:, 0], both[:, 1])
+        return cls(n=n, adj=_from_pairs(n, both[:, 0], both[:, 1]).adj)  # outside input: loops raise
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, u) for v in range(self.n) for u in self.adj[v] if v < u]
@@ -104,13 +106,18 @@ def _raise_first_fault(n: int, adj: tuple[tuple[int, ...], ...]) -> None:
 
 def _from_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> ConflictGraph:
     """The graph on 0..n-1 with an edge for each pair (src[i], dst[i]),
-    in both directions, duplicates merged; endpoints must be in range."""
+    in both directions, duplicates merged; endpoints must be in range and
+    distinct, as the graph is not validated."""
     src, dst = src.astype(np.int64), dst.astype(np.int64)
     keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))  # by (row, neighbor)
     keys = keys[np.diff(keys, prepend=-1) != 0]
     bounds = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
     nbrs = (keys % n).tolist()
-    return ConflictGraph(n=n, adj=tuple(tuple(nbrs[bounds[v] : bounds[v + 1]]) for v in range(n)))
+    adj = tuple(tuple(nbrs[bounds[v] : bounds[v + 1]]) for v in range(n))
+    graph = object.__new__(ConflictGraph)  # canonical by construction: skips __post_init__
+    for name, value in (("n", n), ("adj", adj), ("_keys", keys)):
+        object.__setattr__(graph, name, value)  # frozen
+    return graph
 
 
 def edge_list_text(graph: ConflictGraph) -> str:

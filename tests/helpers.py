@@ -60,6 +60,23 @@ def reference_ties(pts):
     return out
 
 
+def reference_exact_sort(arr, rows, cand):
+    """Each row's candidates sorted by exact distance with one stable sort, ties in candidate order.
+
+    Distances are |dx| on a line and squared distances in the plane, summed
+    over a (rows, width, dim) array of differences.
+    """
+    diff = arr[cand] - arr[rows, None, :]
+    if arr.shape[1] == 1:
+        dist = np.abs(diff[:, :, 0])
+    else:
+        diff *= diff
+        dist = diff.sum(axis=2)
+    del diff
+    order = np.argsort(dist, axis=1, kind="stable")  # stable: ties stay in candidate order
+    return np.take_along_axis(dist, order, axis=1), np.take_along_axis(cand, order, axis=1)
+
+
 def reference_greedy_1d(pts: PointSet, r: int) -> SolveReport:
     """The greedy sweep that re-runs the full checker after every insertion.
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pts1d, pts2d, reference_prefix, reference_ties
+from helpers import pts1d, pts2d, reference_exact_sort, reference_prefix, reference_ties
 from multipack import (
     GeneralPositionError,
     NeighborTable,
@@ -337,12 +337,12 @@ def rosettes(count):
 
 
 def _all_points_rows(monkeypatch) -> list[int]:
-    """Record the rows each `_exact_sort` call ranks over every point (the fallback)."""
+    """Record the rows each `_exact_sort` call ranks over every point (cand None: the fallback)."""
     counts = []
     exact_sort = geometry._exact_sort
 
     def counting(arr, rows, cand):
-        if cand.shape[1] == len(arr):
+        if cand is None:
             counts.append(len(rows))
         return exact_sort(arr, rows, cand)
 
@@ -479,6 +479,51 @@ def test_nearest_profile_cache_property(points, ks, audit_first):
         expected = reference_prefix(shared, k)
         assert _profile_outcome(shared, k) == expected, k
         assert _profile_outcome(PointSet(points=shared.points, dim=shared.dim), k) == expected, k
+
+
+# 13-60 points of an 8 x 8 grid, many tied: enough for the k-d tree to rank them; scaled by 2^31, the
+# distances are Python ints while the span stays below 2^53, so the tree still runs
+_tree_grid = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=13, max_size=60, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=_tree_grid, scale=st.sampled_from([1, 2**31]))
+def test_tree_ranking_ties_property(points, scale):
+    """Tied k-d tree nominees, in the tree's order, rank and raise as plain sorting does at every width."""
+    pts = PointSet.of([(x * scale, y * scale) for x, y in points])
+    assert geometry._integer_coords(pts)[0].dtype == (np.int64 if scale == 1 else object)
+    for k in sorted({*range(1, 9), pts.n - 1}):
+        assert _profile_outcome(PointSet(points=pts.points, dim=2), k) == reference_prefix(pts, k), k
+    assert assert_general_position(pts) == reference_ties(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    wide=st.booleans(),
+    n=st.integers(1, 40),
+    width=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_sort_matches_a_stable_sort_property(dim, wide, n, width, seed):
+    """`_exact_sort` against one stable sort, on int64 and Python-int coordinates of a small grid (so
+    many distances tie): the plane puts tied columns in index order, so it matches that sort over
+    index-sorted candidates; a line keeps them in candidate order, so it matches it over the same ones.
+    cand None ranks every point in index order."""
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(0, 8 if dim == 2 else 30, size=(n, dim)).astype(np.int64)
+    if wide:
+        arr = arr.astype(object) * 2**62
+    rows = rng.permutation(n)[: rng.integers(1, n + 1)]
+    width = min(width, n)
+    cand = rng.permuted(np.broadcast_to(np.arange(n), (len(rows), n)), axis=1)[:, :width]
+    for given_cand, ordered in ((cand, np.sort(cand, axis=1) if dim == 2 else cand),
+                                (None, np.broadcast_to(np.arange(n), (len(rows), n)))):
+        dist, idx = geometry._exact_sort(arr, rows, given_cand)
+        want_dist, want_idx = reference_exact_sort(arr, rows, ordered)
+        assert dist.dtype == want_dist.dtype and idx.dtype == want_idx.dtype
+        assert dist.tolist() == want_dist.tolist()
+        assert idx.tolist() == want_idx.tolist()
 
 
 def _with_ends(values, span):
@@ -750,6 +795,16 @@ def test_csv_faults_are_reported_in_file_order(tmp_path):
         with pytest.raises(error) as info:
             load_points_csv(path)
         assert text in str(info.value)
+
+
+def test_csv_errors_name_the_physical_line(tmp_path):
+    """A quoted field may span lines: a short row after one is named by its own line, as a field past
+    the limit is, not by its record number."""
+    path = tmp_path / "spanning.csv"
+    path.write_text('x,y\n"1\n",2\n3\n')
+    with pytest.raises(ParseError) as info:
+        load_points_csv(path)
+    assert str(info.value) == f"{path}:4: expected 2 values, got 1"
 
 
 def test_csv_streams_rows_with_their_line_endings_and_quotes(tmp_path):

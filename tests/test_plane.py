@@ -45,7 +45,7 @@ from multipack import (
 )
 from multipack.geometry import nearest_order, nearest_profile
 from multipack.instances import pentagon_five, random_point_set
-from multipack.plane import DEGREE_BOUND, _greedy_min_degree, _local_search
+from multipack.plane import DEGREE_BOUND, _from_pairs, _greedy_min_degree, _local_search
 
 QUAD = pts2d((0, 0), (1, 0), (3, 0), (7, 0))
 
@@ -710,6 +710,30 @@ _local_search_graphs = st.one_of(
               st.integers(3, 80), st.integers(0, 10**6)),
     _generic_graphs(),
 )
+
+
+@st.composite
+def _pair_graphs(draw) -> ConflictGraph:
+    """`_from_pairs` on arbitrary distinct pairs, repeats and both directions included."""
+    n = draw(st.integers(2, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])))
+    both = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return _from_pairs(n, both[:, 0], both[:, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=st.one_of(
+    _local_search_graphs,
+    st.builds(lambda n, seed: build_nearest_neighbor_graph(random_point_set(n, dim=2, seed=seed)),
+              st.integers(2, 80), st.integers(0, 10**6)),
+    _pair_graphs(),
+))
+def test_built_graphs_pass_validation(graph):
+    """A graph built from index pairs skips validation; validating it anew gives the same graph and keys."""
+    validated = ConflictGraph(graph.n, graph.adj)
+    assert validated == graph
+    assert validated._keys.dtype == graph._keys.dtype
+    assert validated._keys.tolist() == graph._keys.tolist()
 
 
 _EDGELESS = [ConflictGraph.from_edges(n, []) for n in (1, 2, 5)]
