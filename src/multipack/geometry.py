@@ -358,6 +358,17 @@ def _screened_sort(
     return keys, idx.reshape(cand.shape)
 
 
+# A planar set of at most this many points ranks every row over all points
+# and keeps whole rows (width n - 1): below it the k-d tree costs more, and
+# every wider request (the checker's full table, the oracle) then slices the
+# kept rows instead of ranking again.  Per random integer set, in process on
+# 2 shared vCPUs, k = 2 on the tree vs whole rows took 166 vs 107 us at
+# n = 60, 226 vs 205 us at n = 90, 234 vs 222 us at n = 100, 255 vs 270 us
+# at n = 110 and 274 vs 291 us at n = 120; k = 2 and then the full width
+# took 435 vs 228 us at n = 100.
+_WHOLE_ROWS_MAX_N = 100
+
+
 def _ranked_rows(pts: PointSet, keep: int):
     """Yield (first, key, idx) blocks of exactly ranked neighbor rows.
 
@@ -369,7 +380,7 @@ def _ranked_rows(pts: PointSet, keep: int):
     width >= keep in every block.  Tied columns are in index order in the
     plane and in candidate order on a line (`_exact_sort`): callers sort a
     tied group before they report it.  Inputs differ only in each row's
-    candidates (and the guard on k-d tree rows):
+    candidates and width (and the guard on k-d tree rows):
     - A line always ranks the min(2*keep+1, n) places around the point in
       sorted order, which hold its keep nearest (any point farther along
       has keep points strictly between); width is keep.  The candidates are
@@ -380,11 +391,14 @@ def _ranked_rows(pts: PointSet, keep: int):
       the order from coordinates shifted right to fit 1000 bits, and
       integers decide the links between the two runs that float cannot
       prove (`_screened_sort`), such as those among points the shift merges.
-    - The plane, when float64 holds every coordinate exactly (span < 2^53),
-      ranks the point and the k-d tree's keep + 5 nominees, in the order
-      the tree returns them, on each row where a float guard proves they
-      contain every point that can rank within the first keep + 4; width is
-      keep + 4, every column the guard can certify.  Other rows rank all
+    - A planar set of at most `_WHOLE_ROWS_MAX_N` points ranks every row
+      over all points (cand None) and yields whole rows: width is n - 1,
+      whatever keep is, so one ranking serves every later width.
+    - A larger planar set, when float64 holds every coordinate exactly
+      (span < 2^53), ranks the point and the k-d tree's keep + 5 nominees,
+      in the order the tree returns them, on each row where a float guard
+      proves they contain every point that can rank within the first
+      keep + 4; width is keep + 4, every column the guard can certify.  Other rows rank all
       points (cand None), and width is keep: a wider prefix would cost n^2.
     """
     n = pts.n
@@ -402,6 +416,8 @@ def _ranked_rows(pts: PointSet, keep: int):
         place[by_x] = everyone
         step = np.arange(window)
         flt = (arr[:, 0] >> max(0, span.bit_length() - 1000)).astype(np.float64) if screened else None
+    elif n <= _WHOLE_ROWS_MAX_N:
+        width = n - 1
     elif span < 2**53 and keep + 6 < n:
         from scipy.spatial import cKDTree  # imported on first use: it takes ~0.4 s to load
 
@@ -502,14 +518,16 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     and the widest prefix ranked so far (neighbor indices and each row's
     first tied column; no distances), which `assert_general_position`
     leaves at full width.  A request no wider than that prefix slices it,
-    and a wider one re-ranks and replaces it.  The k-d tree keeps
-    every column its float guard certifies, k + 5 of them, so one planar
-    ranking for k serves every request up to k + 4; a planar ranking over
-    all points keeps k + 1 columns.  A line always ranks each point's
-    min(2k+3, n) places around it in sorted order, in time linear in that
-    window, and keeps k + 1 columns; a line of Python ints ranks in float64
-    shifted to 1000 bits, and integers decide the links float cannot prove,
-    as between points closer than the shift.  A planar row is sorted by
+    and a wider one re-ranks and replaces it.  A planar set of at most 100
+    points ranks whole rows once, so its first ranking serves every width.
+    Above that, the k-d tree keeps every column its float guard certifies,
+    k + 5 of them, so one planar ranking for k serves every request up to
+    k + 4; a planar ranking over all points keeps k + 1 columns.  A line
+    always ranks each point's min(2k+3, n) places around it in sorted
+    order, in time linear in that window, and keeps k + 1 columns; a line
+    of Python ints ranks in float64 shifted to 1000 bits, and integers
+    decide the links float cannot prove, as between points closer than the
+    shift.  A planar row is sorted by
     numpy's default sort, and only a row with two equal distances is
     re-sorted by (distance, index), so tied columns sit in index order.
     Ties are checked per request.

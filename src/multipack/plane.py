@@ -242,18 +242,29 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _grow(adjm: list[int], rem: int, todo: int) -> int:
+    """The component of `rem` that holds `todo`'s vertices (all in one component)."""
+    comp = 0
+    while todo:
+        low = todo & -todo
+        comp |= low
+        todo = (todo | adjm[low.bit_length() - 1] & rem) & ~comp
+    return comp
+
+
 class _Search:
     """Independent-set search over the vertex masks of the subgraph on
     `verts` (a union of components of `adj`), with bit j standing for
     verts[j].
 
-    `size` is the independence number of a vertex mask.  It splits the mask
-    into connected components and solves each one once, keeping the answer
-    in `memo` by component mask: it takes every simplicial vertex (its
-    remaining neighbors are pairwise adjacent, so some optimum holds it),
-    then branches on a vertex of maximum remaining degree (ties toward the
-    smaller index), in or out (Fomin & Kratsch, *Exact Exponential
-    Algorithms*, 2010, ch. 6).  `fpt` walks the tree that branches over the
+    `size` is the independence number of a vertex mask, with one maximum
+    independent set inside it as a mask.  It splits the mask into connected
+    components and solves each one once, keeping both answers in `memo` by
+    component mask: it takes every simplicial vertex (its remaining
+    neighbors are pairwise adjacent, so some optimum holds it), then
+    branches on a vertex of maximum remaining degree (ties toward the
+    smaller index), in or out, keeping the in branch's set on a tie (Fomin
+    & Kratsch, *Exact Exponential Algorithms*, 2010, ch. 6).  `fpt` walks the tree that branches over the
     closed neighborhood of a vertex of minimum remaining degree, asking
     `size` which child to enter.  `nodes` counts the components `size`
     solves and the tree nodes `fpt` visits on top of the count passed in,
@@ -272,31 +283,29 @@ class _Search:
         self.closed = [m | (1 << v) for v, m in enumerate(self.adjm)]
         self.max_nodes = max_nodes
         self.nodes = nodes
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, tuple[int, int]] = {}
 
     def _tick(self) -> None:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExceededError(f"search exceeded {self.max_nodes} nodes")
 
-    def size(self, rem: int) -> int:
-        """Size of a maximum independent set inside `rem`."""
+    def size(self, rem: int) -> tuple[int, int]:
+        """Size of a maximum independent set inside `rem`, and one such set as a mask."""
         adjm, memo = self.adjm, self.memo
-        total = 0
+        total, found = 0, 0
         while rem:
-            comp, todo = 0, rem & -rem
-            while todo:  # grow the component of the lowest vertex left
-                low = todo & -todo
-                comp |= low
-                todo = (todo | adjm[low.bit_length() - 1] & rem) & ~comp
+            comp = _grow(adjm, rem, rem & -rem)
             rem &= ~comp
             if comp not in memo:
                 memo[comp] = self._component(comp)
-            total += memo[comp]
-        return total
+            size, mask = memo[comp]
+            total += size
+            found |= mask
+        return total, found
 
-    def _component(self, rem: int) -> int:
-        """Size of a maximum independent set inside the connected mask `rem`."""
+    def _component(self, rem: int) -> tuple[int, int]:
+        """`size` of the connected mask `rem`."""
         self._tick()
         adjm, closed = self.adjm, self.closed
         # Taking a simplicial vertex keeps every remaining simplicial vertex
@@ -313,14 +322,16 @@ class _Search:
                     break  # two live neighbors are not adjacent
             else:
                 rem &= ~(live | low)
-                taken += 1
+                taken |= low
                 for u in _iter_bits(live):
                     todo |= adjm[u]
                 todo &= rem
-        if not rem:
-            return taken
-        v = max(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
-        return taken + max(1 + self.size(rem & ~closed[v]), self.size(rem & ~(1 << v)))
+        if rem:
+            v = max(_iter_bits(rem), key=lambda u: ((adjm[u] & rem).bit_count(), -u))
+            size_in, mask_in = self.size(rem & ~closed[v])
+            size_out, mask_out = self.size(rem & ~(1 << v))
+            taken |= mask_in | 1 << v if size_in + 1 >= size_out else mask_out
+        return taken.bit_count(), taken
 
     def fpt(self, rem: int, k: int) -> tuple[int | None, int]:
         """An independent set of size exactly k inside `rem` as a mask, or
@@ -333,7 +344,7 @@ class _Search:
         depth-first search over this tree finds, without backtracking.
         """
         self._tick()
-        if self.size(rem) < k:
+        if self.size(rem)[0] < k:
             return None, 1
         adjm, closed = self.adjm, self.closed
         found, visited = 0, 1
@@ -342,7 +353,7 @@ class _Search:
             for u in _iter_bits(closed[v] & rem):
                 self._tick()
                 visited += 1
-                if self.size(rem & ~closed[u]) >= need:
+                if self.size(rem & ~closed[u])[0] >= need:
                     break
             found |= 1 << u
             rem &= ~closed[u]
@@ -372,22 +383,34 @@ def _first_max_set(search: _Search) -> int:
     """Lexicographically smallest maximum independent set of the whole graph.
 
     Visits vertices in ascending order and takes each one that still leaves
-    room for an optimum: vertex i goes in iff `size` of the mask left
-    without its closed neighborhood is need - 1, and otherwise leaves it.
+    room for an optimum of the mask `rem` left so far.  It keeps `known`, one
+    optimum of `rem`, so that most vertices need no `size` query: a vertex
+    with at most one neighbor in `known` is taken outright, and any other is
+    decided by one query on its own component of `rem`.
     """
     closed = search.closed
     rem = (1 << len(closed)) - 1
-    need = search.size(rem)
+    known = search.size(rem)[1]
     chosen = 0
-    while need:
+    while known:
         bit = rem & -rem
         i = bit.bit_length() - 1
-        if search.size(rem & ~closed[i]) == need - 1:
-            chosen |= bit
-            rem &= ~closed[i]
-            need -= 1
-        else:
-            rem ^= bit
+        # i in known: known - i is an optimum of rem - N[i].  If i has just one
+        # neighbor j in known, known - j + i is independent and as large, so it
+        # is an optimum that holds i, and known - N[i] is one of rem - N[i].
+        if (known & closed[i]).bit_count() > 1:
+            # Components of rem are solved apart, and known meets each in an
+            # optimum of it; only i's component C loses N[i].  So an optimum of
+            # rem holds i iff C - N[i] has one fewer than known & C.
+            comp = _grow(search.adjm, rem, bit)
+            size, mask = search.size(comp & ~closed[i])
+            if size < (known & comp).bit_count() - 1:
+                rem ^= bit  # known misses i, so it stays an optimum of rem - i
+                continue
+            known = known & ~comp | mask
+        chosen |= bit
+        rem &= ~closed[i]
+        known &= ~closed[i]
     return chosen
 
 
@@ -408,13 +431,16 @@ def exact_max_is(graph: ConflictGraph, max_nodes: int | None = None) -> tuple[tu
     """Maximum independent set with a deterministic witness.
 
     Each connected component is solved on its own masks, re-indexed to local
-    bits in ascending vertex order.  `_Search.size` gives its optimum size,
-    then a witness pass forces the lexicographically smallest optimum of the
-    component index by index, asking `size` of what each choice leaves.  The
-    union over components is the lexicographically smallest maximum
-    independent set of the whole graph, since every forced choice constrains
-    only its own component.  Returns (witness, explored nodes): the
-    sub-components solved, summed over every component and both passes;
+    bits in ascending vertex order.  `_Search.size` gives its optimum size
+    and one optimum set, then a witness pass (`_first_max_set`) forces the
+    lexicographically smallest optimum of the component index by index.  It
+    keeps a known optimum of what is left: a vertex with at most one
+    neighbor in it goes in with no query, and any other is decided by one
+    `size` query on its own component of what is left.  The union over
+    components is the lexicographically smallest maximum independent set of
+    the whole graph, since every forced choice constrains only its own
+    component.  Returns (witness, explored nodes): the sub-components
+    solved (memo misses), summed over every component and both passes;
     max_nodes caps that total and raises BudgetExceededError past it.
     """
     witness, stats = _exact_max_is(graph, max_nodes)

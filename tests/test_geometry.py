@@ -364,23 +364,26 @@ def _counted(monkeypatch, module, name) -> list:
 
 
 def test_nearest_profile_matches_reference(monkeypatch):
-    """Every ranking path against plain sorting, and which rows fell back to all points.
+    """Every ranking path against plain sorting, and which rows were ranked over all points.
 
-    The k-d tree keeps k + 5 certified columns, so its ranking for k = 1
-    serves k = 2 and 3 too; a planar ranking over all points keeps k + 1
-    columns, and so does a line, which always ranks the min(2k+3, n) places
-    around each point, so each wider k ranks again.
+    A planar set of at most 100 points keeps whole rows, so its one ranking
+    serves every k.  The k-d tree keeps k + 5 certified columns, so its
+    ranking for k = 1 serves k = 2 and 3 too; a larger planar ranking over
+    all points keeps k + 1 columns, and so does a line, which always ranks
+    the min(2k+3, n) places around each point, so each wider k ranks again.
     """
     cases = {  # label: (points, rows ranked over all points per ranking, rankings for k = 1, 2, 3)
-        "k-d tree at n = 60": (random_point_set(60, dim=2, seed=2), 0, 1),
+        "whole rows at n = 60": (random_point_set(60, dim=2, seed=2), 60, 1),
+        "k-d tree at n = 101": (random_point_set(101, dim=2, seed=2), 0, 1),
         "k-d tree at n = 300": (random_point_set(300, dim=2, seed=2, grid=100_000), 0, 1),
         "k-d tree at n = 600": (random_point_set(600, dim=2, seed=2, grid=360_000), 0, 1),
         **{
             f"k-d tree at span 2^{e}": (random_point_set(600, dim=2, seed=e, grid=2**e, audit="none"), 0, 1)
             for e in (29, 40, 50)
         },
-        "all points: query_k >= n": (random_point_set(8, dim=2, seed=2), 8, 3),
-        "all points: span >= 2^53": (random_point_set(40, dim=2, seed=2, grid=2**54, audit="none"), 40, 3),
+        "whole rows at n = 8": (random_point_set(8, dim=2, seed=2), 8, 1),
+        "whole rows at span >= 2^53": (random_point_set(40, dim=2, seed=2, grid=2**54, audit="none"), 40, 1),
+        "all points: span >= 2^53": (random_point_set(120, dim=2, seed=2, grid=2**54, audit="none"), 120, 3),
         "rows failing the float guard": (rosettes(12), 12, 1),
         "sorted window on a line": (random_point_set(700, dim=1, seed=3, grid=10**8), 0, 3),
         **{
@@ -481,9 +484,9 @@ def test_nearest_profile_cache_property(points, ks, audit_first):
         assert _profile_outcome(PointSet(points=shared.points, dim=shared.dim), k) == expected, k
 
 
-# 13-60 points of an 8 x 8 grid, many tied: enough for the k-d tree to rank them; scaled by 2^31, the
-# distances are Python ints while the span stays below 2^53, so the tree still runs
-_tree_grid = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=13, max_size=60, unique=True)
+# 101-150 points of a 13 x 13 grid, many tied: above the whole-row cutoff, so the k-d tree ranks them;
+# scaled by 2^31, the distances are Python ints while the span stays below 2^53, so the tree still runs
+_tree_grid = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=101, max_size=150, unique=True)
 
 
 @settings(max_examples=100, deadline=None)

@@ -45,7 +45,7 @@ from multipack import (
 )
 from multipack.geometry import nearest_order, nearest_profile
 from multipack.instances import pentagon_five, random_point_set
-from multipack.plane import DEGREE_BOUND, _from_pairs, _greedy_min_degree, _local_search
+from multipack.plane import DEGREE_BOUND, _from_pairs, _greedy_min_degree, _local_search, _Search
 
 QUAD = pts2d((0, 0), (1, 0), (3, 0), (7, 0))
 
@@ -392,7 +392,7 @@ def test_exact_size_matches_milp_at_scale(n):
     table = NeighborTable(order=tuple(nearest_profile(pts, 2)))
     assert is_r_multipacking(pts, table, report.indices, 2)[0]
     if n == 3000:
-        assert report.stats["nodes"] < 5_000  # reads 1492, and 8790 without the memo
+        assert report.stats["nodes"] < 5_000  # reads 545, and 567 without the memo
 
 
 def test_exact_witnesses_are_pinned():
@@ -427,7 +427,8 @@ def test_exact_report_stats():
 
 
 def test_exact_budget_raises():
-    graph = build_conflict_graph(random_point_set(30, dim=2, seed=1))
+    graph = build_conflict_graph(random_point_set(40, dim=2, seed=7))
+    assert exact_max_is(graph)[1] > 2
     with pytest.raises(BudgetExceededError):
         exact_max_is(graph, max_nodes=2)
 
@@ -459,15 +460,19 @@ def test_exact_matches_reference_on_giant_components(pts):
     assert exact_max_is(graph)[0] == reference_exact_max_is(graph)
 
 
-@pytest.mark.parametrize("pts, digest", [
-    (_sunflower(1500), "32c721cc92248010b452117d596238d7260e0177"),  # one component, 501 nodes
-    (_lattice(40), "dbc040a17cf5b6a36fdf9b6db8ef2dd38cbbe41b"),  # largest component 1588, 682 nodes
+@pytest.mark.parametrize("pts, digest, stats", [
+    (_sunflower(1500), "827ea51e15b85ba533986509295754fea181fa75",
+     {"nodes": 3, "components": 1, "largest_component": 1500, "max_degree": 6}),
+    (_lattice(40), "68961b1acfb90e30d0d757f5d1cde04b47c89444",
+     {"nodes": 144, "components": 3, "largest_component": 1588, "max_degree": 8}),
 ], ids=["sunflower1500", "lattice40"])
-def test_exact_giant_components_are_pinned(pts, digest):
-    # witness and stats: nodes count the sub-components solved, so a change
-    # to the peel's kernel or to the masks `size` is asked about shows here
+def test_exact_giant_components_are_pinned(pts, digest, stats):
+    # the witness, and apart from it the stats: nodes count the sub-components
+    # solved, so a change to the peel's kernel or to the masks `size` is asked
+    # about moves them, while the witness may not move
     report = max_2_multipacking_exact(pts)
-    assert hashlib.sha1(repr((report.indices, report.stats)).encode()).hexdigest() == digest
+    assert hashlib.sha1(repr(report.indices).encode()).hexdigest() == digest
+    assert report.stats == stats
 
 
 def test_exact_budget_raises_on_a_giant_component():
@@ -777,6 +782,66 @@ def test_exact_is_matches_naive_property(graph):
     assert len(witness) == best_size
     assert witness == min(best_sets)
     assert witness == reference_exact_max_is(graph)
+
+
+@st.composite
+def _sparse_graphs(draw) -> ConflictGraph:
+    """15-40 vertices with at most 2n random edges: many components once the witness pass removes a few."""
+    n = draw(st.integers(15, 40))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    return ConflictGraph.from_edges(n, pairs)
+
+
+@st.composite
+def _triangle_unions(draw) -> ConflictGraph:
+    """Unions of random triangles, as a conflict graph is, with no geometry behind them."""
+    n = draw(st.integers(3, 40))
+    triangles = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True), max_size=n))
+    return ConflictGraph.from_edges(n, [(a, b) for tri in triangles for a, b in itertools.combinations(tri, 2)])
+
+
+@st.composite
+def _cycle_unions(draw) -> ConflictGraph:
+    """Random cycles of length 4-9 plus a few chords: graphs far from chordal.  In about one in
+    five, a vertex outside the witness pass's known optimum has one neighbor in it (the swap rule)."""
+    n = draw(st.integers(4, 30))
+    edges = []
+    for cycle in draw(st.lists(st.lists(st.integers(0, n - 1), min_size=4, max_size=9, unique=True),
+                               min_size=1, max_size=6)):
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=n // 3))
+    return ConflictGraph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=st.one_of(_sparse_graphs(), _triangle_unions(), _cycle_unions()))
+def test_exact_is_matches_reference_past_enumeration_property(graph):
+    """The witness pass's shortcuts (a vertex with at most one neighbor in the known optimum goes in
+    without a query; any other is asked about on its own component) against the reference, which
+    asks about every vertex outside its optimum on the whole mask left."""
+    assert exact_max_is(graph)[0] == reference_exact_max_is(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=st.one_of(_generic_graphs(), _sparse_graphs(), _cycle_unions()), data=st.data())
+def test_search_size_mask_is_an_optimum_property(graph, data):
+    """`size` returns, with the optimum size, an independent set of that size inside the mask it
+    was asked about, fresh or from the memo; on small graphs the size is the enumerated optimum."""
+    search = _Search(graph.adj, range(graph.n), None)
+    full = (1 << graph.n) - 1
+    masks = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=6), label="masks")
+    for rem in [full, *masks, full]:
+        size, mask = search.size(rem)
+        assert mask & ~rem == 0
+        members = [v for v in range(graph.n) if mask >> v & 1]
+        assert len(members) == size
+        assert not any(search.adjm[v] & mask for v in members)
+        if graph.n <= 14:
+            kept = [v for v in range(graph.n) if rem >> v & 1]
+            edges = [(kept.index(a), kept.index(b)) for a, b in graph.edges() if a in kept and b in kept]
+            assert size == naive_max_independent_sets(len(kept), edges)[0]
 
 
 def test_degree_audit_examples():
