@@ -1,25 +1,26 @@
 """Planar multipacking solvers built on two derived graphs.
 
-For radius 1 the maximum multipackings of a point set are exactly the
-maximum independent sets of its nearest-neighbor graph, which is a forest,
-so a tree DP solves them.  For radius 2 they are the maximum independent
-sets of a conflict graph with one triangle {v, first(v), second(v)} per
-point.  Most of its vertices are simplicial (their neighbors form a
-clique), which the exact search takes outright before it branches; the
-maximum degree of at most 17 bounds the size-k search's branching tree
-and the greedy approximation below.  That greedy picks vertices from a
-bucket queue (one heap of vertex ids per degree) and then improves its set
-in local-search rounds, each a fixed number of numpy passes over the
-graph's directed edge keys.
+Both graphs put a clique on each point's closed k-neighborhood: the point
+and its k nearest.  For radius 1 (k = 1) the maximum multipackings of a
+point set are exactly the maximum independent sets of this
+nearest-neighbor graph, which is a forest, so a tree DP solves them.  For
+radius 2 (k = 2) they are the maximum independent sets of the conflict
+graph, with one triangle {v, first(v), second(v)} per point.  Most of its
+vertices are simplicial (their neighbors form a clique), which the exact
+search takes outright before it branches; the maximum degree of at most 17
+bounds the size-k search's branching tree and the greedy approximation
+below.  That greedy picks vertices from a bucket queue (one heap of vertex
+ids per degree) and then improves its set in local-search rounds, each a
+fixed number of numpy passes over the graph's directed edge keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, combinations
 from numbers import Integral
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -41,47 +42,48 @@ class ConflictGraph:
     Its directed edge keys v * n + u, ascending, live in a private
     attribute `_keys` that is not a field; the greedy's local search reads
     them.  A graph built here from index pairs is canonical by construction
-    and skips validation; one given as `ConflictGraph(n, adj)` or through
-    `from_edges` is validated, which sets the keys."""
+    and skips validation.  Both constructors take n only as an integer >= 1
+    that is not a bool.  `ConflictGraph(n, adj)` then checks every row in
+    one pass and names the first fault; `from_edges` checks each endpoint
+    and rejects a loop, naming the smallest looped vertex."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, Integral) or n < 1 or len(self.adj) != n:
+        if not _is_size(n) or len(self.adj) != n:
             raise ValueError("adjacency size does not match n")
-        try:
-            flat = np.array(list(chain.from_iterable(self.adj)))
-        except ValueError:  # entries of unequal shapes: the row loop names the first
-            flat = np.empty(0, dtype=object)
+        _raise_first_fault(n, self.adj)
         owner = np.repeat(np.arange(n), [len(row) for row in self.adj])
-        if flat.dtype.kind == "i" and flat.shape == owner.shape and flat.min() >= 0 and flat.max() < n:
-            keys = owner * n + flat  # (row, neighbor) pairs: strictly increasing iff every row is
-            mirrored = np.sort(flat * n + owner)  # the same pairs reversed, in that order
-            if not (flat == owner).any() and (np.diff(keys) > 0).all() and np.array_equal(keys, mirrored):
-                object.__setattr__(self, "_keys", keys)  # frozen, but not a field
-                return
-        _raise_first_fault(n, self.adj)  # returns only when the bulk test cannot read the entries as int
         flat = np.array([int(u) for u in chain.from_iterable(self.adj)], dtype=np.int64)
-        object.__setattr__(self, "_keys", owner * n + flat)
+        object.__setattr__(self, "_keys", owner * n + flat)  # frozen, but not a field
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ConflictGraph":
+        if not _is_size(n):
+            raise ValueError("adjacency size does not match n")
         pairs = [(a, b) for a, b in edges]
         for u in chain.from_iterable(pairs):
             if not isinstance(u, Integral):
                 raise ValueError(f"vertex {u!r} out of range")
             if not 0 <= u < n:
                 raise ValueError(f"vertex {u} out of range")
-        both = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        return cls(n=n, adj=_from_pairs(n, both[:, 0], both[:, 1]).adj)  # outside input: loops raise
+        src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        loops = src[src == dst]
+        if loops.size:
+            raise ValueError(f"loop at {loops.min()}")
+        return _from_pairs(n, src, dst)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, u) for v in range(self.n) for u in self.adj[v] if v < u]
 
     def max_degree(self) -> int:
         return max(len(row) for row in self.adj)
+
+
+def _is_size(n) -> bool:
+    return isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
 
 
 def _raise_first_fault(n: int, adj: tuple[tuple[int, ...], ...]) -> None:
@@ -125,60 +127,36 @@ def edge_list_text(graph: ConflictGraph) -> str:
     return "".join(f"{u} {v}\n" for u, v in graph.edges())
 
 
-def parse_edge_list(text: str, n: int | None = None) -> ConflictGraph:
-    edges = []
-    top = -1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            a, b = map(int, line.split())
-        except ValueError:  # not two tokens, or one that is not an integer
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}") from None
-        top = max(top, a, b)
-        edges.append((a, b))
-    size = n if n is not None else top + 1
-    if size < 1:
-        raise ValueError("edge list is empty and no n was given")
-    return ConflictGraph.from_edges(size, edges)
+def _from_order(n: int, order: np.ndarray) -> ConflictGraph:
+    """A clique on {v} + order[v] for every v: with each point's k nearest as
+    its row, the k = 1 nearest-neighbor forest or the k = 2 conflict graph."""
+    closed = np.vstack((np.arange(n), order.T))  # row 0 every v, row j each v's j-th nearest
+    first, second = np.array(list(combinations(range(len(closed)), 2))).T
+    return _from_pairs(n, closed[first].ravel(), closed[second].ravel())
 
 
-def _nng_from_order(n: int, order: np.ndarray) -> ConflictGraph:
-    return _from_pairs(n, np.arange(n), order[:, 0])
-
-
-def _conflict_from_order(n: int, order: np.ndarray) -> ConflictGraph:
-    v, a, b = np.arange(n), order[:, 0], order[:, 1]
-    return _from_pairs(n, np.concatenate([v, v, a]), np.concatenate([a, b, b]))
-
-
-def _graph(
-    pts: PointSet, table: NeighborTable | None, k: int, build: Callable[[int, np.ndarray], ConflictGraph]
-) -> ConflictGraph:
-    """`build` on each point's k nearest.  Read from the set's own ranking,
+def _graph(pts: PointSet, table: NeighborTable | None, k: int) -> ConflictGraph:
+    """`_from_order` on each point's k nearest.  Read from the set's own ranking,
     the graph is built once and kept next to it; a validated table builds afresh."""
+    if pts.n < k + 1:
+        raise ValueError(f"need at least {k + 1} points")
     if table is not None:
-        return build(pts.n, table._prefix(pts.n, k))
+        return _from_order(pts.n, table._prefix(pts.n, k))
     graphs = _ranking(pts).graphs
     if k not in graphs:
-        graphs[k] = build(pts.n, nearest_order(pts, k))  # a tie raises here: nothing is kept
+        graphs[k] = _from_order(pts.n, nearest_order(pts, k))  # a tie raises here: nothing is kept
     return graphs[k]
 
 
 def build_nearest_neighbor_graph(pts: PointSet, table: NeighborTable | None = None) -> ConflictGraph:
     """Edge from every point to its unique nearest point (deduplicated)."""
-    if pts.n < 2:
-        raise ValueError("need at least 2 points")
-    return _graph(pts, table, 1, _nng_from_order)
+    return _graph(pts, table, 1)
 
 
 def build_conflict_graph(pts: PointSet, table: NeighborTable | None = None) -> ConflictGraph:
     """Triangle on {v, first(v), second(v)} for every v; independence in the
     result is exactly the radius-2 multipacking condition."""
-    if pts.n < 3:
-        raise ValueError("need at least 3 points")
-    return _graph(pts, table, 2, _conflict_from_order)
+    return _graph(pts, table, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -631,20 +631,32 @@ def test_solve_lists_its_methods_in_order(quad, capsys):
     ]
 
 
-def test_cli_leaves_scipy_unimported_on_a_line(tmp_path):
-    """scipy.spatial costs about half a second to import, so a 1D solve must not pull it in."""
-    points = tmp_path / "line.csv"
-    save_points_csv(lower_family_1d(12), points)
+def _solve_imports_scipy(tmp_path, pts, *args) -> bool:
+    """Whether a CLI solve of pts with args, in a fresh interpreter, imports scipy."""
+    points = tmp_path / "points.csv"
+    save_points_csv(pts, points)
+    argv = ["solve", "--input", str(points), *args, "--out", str(tmp_path / "w.json")]
     script = (
         "import sys, multipack, multipack.cli\n"
-        f"assert multipack.cli.main(['solve', '--input', {str(points)!r}, '--out', {str(tmp_path / 'w.json')!r}]) == 0\n"
+        f"assert multipack.cli.main({argv!r}) == 0\n"
         "print('scipy' in sys.modules)\n"
     )
     src = str(Path(multipack.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": pythonpath})
-    assert done.stdout == "False\n"
+    return done.stdout == "True\n"
+
+
+def test_cli_leaves_scipy_unimported_on_a_line(tmp_path):
+    """scipy.spatial costs about half a second to import, so a 1D solve must not pull it in."""
+    assert not _solve_imports_scipy(tmp_path, lower_family_1d(12))
+
+
+@pytest.mark.parametrize("r", ["1", "2"])
+def test_cli_leaves_scipy_unimported_on_a_small_plane(tmp_path, r):
+    """A planar set of at most 100 points ranks whole rows, with no k-d tree to import."""
+    assert not _solve_imports_scipy(tmp_path, random_point_set(9, dim=2, seed=1), "--r", r)
 
 
 _ODD_INPUTS = {

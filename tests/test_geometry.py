@@ -658,8 +658,7 @@ def test_plane_op_ranks_once_and_builds_each_graph_once(tmp_path, monkeypatch):
     path = tmp_path / "plane.csv"
     save_points_csv(random_point_set(600, dim=2, seed=3), path)
     rankings = _counted(monkeypatch, geometry, "_ranked_rows")
-    conflict_builds = _counted(monkeypatch, plane, "_conflict_from_order")
-    nng_builds = _counted(monkeypatch, plane, "_nng_from_order")
+    builds = _counted(monkeypatch, plane, "_from_order")
     pts = load_points(path)
     nng = max_1_multipacking(pts)
     assert is_r_multipacking(pts, NeighborTable(order=tuple(nearest_profile(pts, 1))), nng.indices, 1)[0]
@@ -667,8 +666,7 @@ def test_plane_op_ranks_once_and_builds_each_graph_once(tmp_path, monkeypatch):
     assert is_r_multipacking(pts, NeighborTable(order=tuple(nearest_profile(pts, 2))), greedy.indices, 2)[0]
     assert max_degree_audit(pts, build_conflict_graph(pts)).within_bound
     assert [keep for _, keep in rankings] == [2]
-    assert len(conflict_builds) == 1
-    assert len(nng_builds) == 1
+    assert [order.shape[1] for _, order in builds] == [1, 2]
 
 
 def test_cached_ranking_leaves_point_set_identity():

@@ -41,7 +41,6 @@ from multipack import (
     max_1_multipacking,
     max_2_multipacking_exact,
     max_degree_audit,
-    parse_edge_list,
 )
 from multipack.geometry import nearest_order, nearest_profile
 from multipack.instances import pentagon_five, random_point_set
@@ -76,37 +75,16 @@ def test_nng_is_always_a_forest():
 
 
 def test_forest_dp_path_and_star():
-    path4 = parse_edge_list("0 1\n1 2\n2 3\n", n=4)
+    path4 = ConflictGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert len(forest_max_independent_set(path4)) == 2
-    edge = parse_edge_list("0 1\n", n=2)
+    edge = ConflictGraph.from_edges(2, [(0, 1)])
     assert len(forest_max_independent_set(edge)) == 1
-    star = parse_edge_list("0 1\n0 2\n0 3\n0 4\n0 5\n", n=6)
+    star = ConflictGraph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
     assert forest_max_independent_set(star) == (1, 2, 3, 4, 5)
 
 
-@pytest.mark.parametrize("text, error", [
-    ("0 5\n", "vertex 5 out of range"),
-    ("0 -1\n", "vertex -1 out of range"),
-    ("1 1\n", "loop at 1"),
-    ("0 1\n1 x\n", "line 2: expected 'u v', got '1 x'"),
-    ("0 1 2\n", "line 1: expected 'u v', got '0 1 2'"),
-    ("0 1\n\n2\n", "line 3: expected 'u v', got '2'"),
-])
-def test_parse_edge_list_rejects_bad_endpoints(text, error):
-    with pytest.raises(ValueError, match=f"^{error}$"):
-        parse_edge_list(text, n=3)
-
-
-def test_parse_edge_list_skips_blank_lines():
-    graph = parse_edge_list("0 1\n\n  \n1 2\n")
-    assert graph.n == 3 and list(graph.edges()) == [(0, 1), (1, 2)]
-    for text in ("", "\n  \n"):
-        with pytest.raises(ValueError, match="^edge list is empty and no n was given$"):
-            parse_edge_list(text)
-
-
 def test_forest_dp_rejects_cycles():
-    triangle = parse_edge_list("0 1\n1 2\n0 2\n", n=3)
+    triangle = ConflictGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     square = ConflictGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
     for graph in (triangle, square, build_conflict_graph(QUAD)):
         with pytest.raises(NotAForestError):
@@ -260,10 +238,10 @@ def test_conflict_graph_needs_three_points():
 
 
 def test_exact_is_small_graphs():
-    k5 = parse_edge_list("\n".join(f"{a} {b}" for a in range(5) for b in range(a + 1, 5)), n=5)
+    k5 = ConflictGraph.from_edges(5, itertools.combinations(range(5), 2))
     witness, _ = exact_max_is(k5)
     assert witness == (0,)
-    path4 = parse_edge_list("0 1\n1 2\n2 3\n", n=4)
+    path4 = ConflictGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     witness, _ = exact_max_is(path4)
     assert witness == (0, 2)
 
@@ -864,22 +842,20 @@ def test_degree_bound_on_random_instances():
         assert audit.max_degree <= DEGREE_BOUND
 
 
-def test_edge_list_round_trip():
-    graph = build_conflict_graph(random_point_set(15, dim=2, seed=9))
-    text = edge_list_text(graph)
-    parsed = parse_edge_list(text, n=graph.n)
-    assert parsed.adj == graph.adj
-
-
 def test_conflict_graph_rejects_malformed_adjacency():
     """Each fault and its message; rows are scanned in order, and within a row
     a non-integer entry comes first, then the order check, then each
-    endpoint: range, loop, symmetry.  `from_edges` checks each endpoint."""
+    endpoint: range, loop, symmetry.  `from_edges` checks n, then each
+    endpoint, then names the smallest looped vertex."""
     graph, edges = ConflictGraph, ConflictGraph.from_edges
     cases = [
         (graph, 3, ((1,), (0,)), "adjacency size does not match n"),
         (graph, 0, (), "adjacency size does not match n"),
         (graph, 2.0, ((1,), (0,)), "adjacency size does not match n"),
+        (graph, True, ((),), "adjacency size does not match n"),
+        (edges, 2.0, [(0, 1)], "adjacency size does not match n"),
+        (edges, True, [], "adjacency size does not match n"),
+        (edges, 0, [], "adjacency size does not match n"),
         (graph, 3, ((2, 1), (0,), (0,)), "adjacency of 0 must be sorted and duplicate-free"),
         (graph, 3, ((1, 1), (0,), ()), "adjacency of 0 must be sorted and duplicate-free"),
         (graph, 2, ((2,), ()), "vertex 2 out of range"),
@@ -892,6 +868,9 @@ def test_conflict_graph_rejects_malformed_adjacency():
         (graph, 2, (("1",), (0,)), "vertex '1' out of range"),
         (graph, 2, ((None,), ()), "vertex None out of range"),
         (edges, 3, [(0, 1.5)], "vertex 1.5 out of range"),
+        (edges, 3, [(0, 5)], "vertex 5 out of range"),
+        (edges, 3, [(0, -1)], "vertex -1 out of range"),
+        (edges, 3, [(1, 1)], "loop at 1"),
         (graph, 2, ((1, (0, 2)), (0,)), "vertex (0, 2) out of range"),
         # two faults each: the first in scan order is named
         (graph, 3, ((1,), (2, 0), (1,)), "adjacency of 1 must be sorted and duplicate-free"),
@@ -899,6 +878,7 @@ def test_conflict_graph_rejects_malformed_adjacency():
         (graph, 3, ((1, 5), (-1, 0), ()), "vertex 5 out of range"),
         (graph, 3, ((2,), (0,), ()), "edge 0-2 is not symmetric"),
         (graph, 3, ((5, 1.5), (), ()), "vertex 1.5 out of range"),
+        (edges, 3, [(2, 2), (0, 1), (1, 1)], "loop at 1"),
     ]
     for make, n, data, message in cases:
         with pytest.raises(ValueError) as info:
