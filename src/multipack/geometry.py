@@ -55,6 +55,9 @@ def _normalize(value: Coord) -> Coord:
     return value
 
 
+_PLAIN_DECIMAL = re.compile(r"\s*([-+]?\d+)\.(\d+)\s*")
+
+
 def parse_coordinate(text: str) -> Coord:
     """Parse a decimal ('-3.25') or rational ('7/3') coordinate exactly.
 
@@ -62,11 +65,20 @@ def parse_coordinate(text: str) -> Coord:
     accepts too, with the same value.  A decimal exponent above
     `sys.get_int_max_str_digits()` in magnitude is refused before `Fraction`
     computes 10^exp in full, as `int` refuses a token of that many digits.
+    A plain decimal ('-3.25': digits, a point, digits) skips `Fraction`'s
+    string parser and gets the same value.
     """
     try:
         return int(text)
     except ValueError:
         pass
+    plain = _PLAIN_DECIMAL.fullmatch(text)
+    if plain:
+        whole, frac = plain.groups()
+        try:
+            return _normalize(Fraction(int(whole + frac), 10 ** len(frac)))
+        except ValueError:  # past the int digit limit together: `Fraction` reads the parts apart
+            pass
     token = text.strip()
     try:
         if "e" in token or "E" in token:  # the one test on the common path: most decimals have no exponent
@@ -124,9 +136,9 @@ class PointSet:
             for c in p:
                 if type(c) is not int and not isinstance(c, Fraction):  # `of` turns other integers into int
                     raise ValueError(f"point {i} has coordinate {c!r}, not an int or Fraction")
-            if p in seen:
+            seen.add(p)  # one hash per point: a Fraction's hash costs a modular inverse
+            if len(seen) == i:
                 raise ValueError(f"duplicate point {p} at index {i}")
-            seen.add(p)
 
     @classmethod
     def of(cls, values: Iterable[Sequence[Coord]]) -> "PointSet":
@@ -169,19 +181,41 @@ class NeighborTable:
     order[v] holds v's nearest neighbors up to the table's width (n-1 for a
     full table); order[v][s-1] is the s-th nearest neighbor of v, so for
     s <= width the closed s-neighborhood of v is v plus the first s entries.
-    Its one reader, `_prefix(n, k)`, raises ValueError unless there are n
-    rows, k is in 1..n-1 and every row starts with k integers in 0..n-1.
+    A table `build_neighbor_table` makes is a view of the set's ranked array,
+    kept in `_array`, which is not a field: `n`, `width` and `_prefix` read
+    the array, and `order` is built from it, as Python ints, only on first
+    read, so `==`, `hash` and `repr` match a table built from the same
+    tuples.  Its one reader, `_prefix(n, k)`, raises ValueError
+    unless there are n rows, k is in 1..n-1 and the width is at least k;
+    a table built from tuples must also have every row start with k
+    integers in 0..n-1, which is checked on each read.
     """
 
     order: tuple[tuple[int, ...], ...]
+    _array = None  # not a field: a library table's n x (n-1) ranked array
+
+    @classmethod
+    def _view(cls, array: np.ndarray) -> "NeighborTable":
+        table = object.__new__(cls)  # no `order` until it is read
+        object.__setattr__(table, "_array", array)  # frozen, but not a field
+        return table
+
+    def __getattr__(self, name: str):
+        if name != "order" or self._array is None:
+            raise AttributeError(name)
+        order = tuple(_rows(self._array))
+        object.__setattr__(self, "order", order)  # built once
+        return order
 
     @property
     def n(self) -> int:
-        return len(self.order)
+        return len(self.order) if self._array is None else self._array.shape[0]
 
     @property
     def width(self) -> int:
         """Neighbors listed per point: n-1 for a full table."""
+        if self._array is not None:
+            return self._array.shape[1]
         return len(self.order[0]) if self.order else 0
 
     def _prefix(self, n: int, k: int) -> np.ndarray:
@@ -191,6 +225,8 @@ class NeighborTable:
         _check_radius(k, n)
         if self.width < k:
             raise ValueError(f"table width {self.width} is below r={k}")
+        if self._array is not None:  # the set's own ranking: nothing to validate
+            return self._array[:, :k]
         # rows cut to k first: n*k entries exactly when no row is shorter than k
         try:
             flat = np.array(list(chain.from_iterable([row[:k] for row in self.order])))
@@ -202,10 +238,14 @@ class NeighborTable:
 
 
 def build_neighbor_table(pts: PointSet) -> NeighborTable:
-    """Full table: every point's n-1 neighbors; raise on any tie."""
+    """Full table: every point's n-1 neighbors; raise on any tie.
+
+    The table is a view of `nearest_order(pts, n - 1)`: no tuples are built
+    unless its `order` is read.
+    """
     if pts.n == 1:
         return NeighborTable(order=((),))
-    return NeighborTable(order=tuple(nearest_profile(pts, pts.n - 1)))
+    return NeighborTable._view(nearest_order(pts, pts.n - 1))
 
 
 def assert_general_position(pts: PointSet) -> list[tuple[int, int, int]]:
@@ -532,12 +572,16 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     re-sorted by (distance, index), so tied columns sit in index order.
     Ties are checked per request.
     """
-    order = nearest_order(pts, k)
-    profile: list[tuple[int, ...]] = []
+    return _rows(nearest_order(pts, k))
+
+
+def _rows(order: np.ndarray) -> list[tuple[int, ...]]:
+    """An array's rows as tuples of Python ints."""
+    rows: list[tuple[int, ...]] = []
     step = max(1, (1 << 16) // order.shape[1])  # rows per tolist: no n x width list of lists at once
-    for first in range(0, pts.n, step):
-        profile.extend(map(tuple, order[first : first + step].tolist()))
-    return profile
+    for first in range(0, order.shape[0], step):
+        rows.extend(map(tuple, order[first : first + step].tolist()))
+    return rows
 
 
 _PERTURB_RETRIES = 32

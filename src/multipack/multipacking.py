@@ -77,7 +77,8 @@ def is_r_multipacking(
 
     Returns (True, None) on success, else (False, first violation) where the
     scan order is ascending point index, then ascending s.  The table needs
-    width >= r.  A lone point has no neighbors, so any integer r >= 1 holds
+    width >= r; one from `build_neighbor_table` is read as a slice of the
+    set's ranking, with no tuples built.  A lone point has no neighbors, so any integer r >= 1 holds
     for it, as `bruteforce_max_r_multipacking` allows.
     """
     if pts.n == table.n == 1:
@@ -95,7 +96,8 @@ def _check_order(order: np.ndarray, members: Iterable[int]) -> tuple[bool, Viola
             raise ValueError(f"member index {i} out of range for n={n}")
         marked[i] = 1
     flags = np.frombuffer(marked, dtype=np.uint8)
-    counts = flags[:, None] + np.cumsum(flags[order], axis=1, dtype=np.int32)  # |N_s[v] & M|
+    counts = np.cumsum(flags[order], axis=1, dtype=np.int32)
+    counts += flags[:, None]  # |N_s[v] & M|, in place: no second n x r array
     bounds = np.arange(2, r + 2) >> 1  # floor((s+1)/2), column s-1 as in counts
     over = counts > bounds
     if not over.any():

@@ -100,8 +100,68 @@ def test_parse_coordinate(text, value):
 
 
 def test_parse_coordinate_rejects_garbage():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape("bad coordinate '1.2.3': Invalid literal for Fraction: '1.2.3'")):
         parse_coordinate("1.2.3")
+
+
+def _reference_outcome(text):
+    """`parse_coordinate` by its general path alone: `int`, then the exponent
+    guard and `Fraction`'s own parser; the value, or the ParseError text."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    token = text.strip()
+    try:
+        exponent = re.search(r"[eE][-+]?([\d_]+)\Z", token)
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and int(exponent[1]) > limit:
+            raise ValueError(f"exponent above {limit}")
+        return _normalize(Fraction(token))
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"bad coordinate {text!r}: {exc}"
+
+
+def _assert_parses_like_reference(token):
+    try:
+        got = parse_coordinate(token)
+    except ParseError as exc:
+        got = str(exc)
+    expected = _reference_outcome(token)
+    assert got == expected and type(got) is type(expected), repr(token)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "-3.25", "+3.25", "003.2500", "-000.5", "-0.000", "0.0", " 1.5 ", "\t-2.75\n", "\xa01.5\u2003",
+        "\u0661.\u0665", "1_0.5", "10.5_0", "1.", ".5", "-.5", "1.2.3", "1.5e3", "1.5/2", "- 1.5", "1 .5",
+        "1." + "0" * 3000 + "1", "9" * 3000 + "." + "5" * 3000, "9" * 5000 + ".5",
+    ],
+    ids=lambda token: repr(token)[:16],
+)
+def test_plain_decimals_parse_as_the_general_path_does(token):
+    _assert_parses_like_reference(token)
+
+
+_DIGITS = st.text(alphabet="0123456789", max_size=5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    parts=st.tuples(
+        st.sampled_from(["", " ", "\t", "\xa0", "\n "]),
+        st.sampled_from(["", "+", "-", "--", "+ "]),
+        st.one_of(_DIGITS, st.text(alphabet="0_\u0663", max_size=3)),
+        st.sampled_from([".", ".", ".", "", "..", "/", "e", "E-"]),
+        st.one_of(_DIGITS, st.text(alphabet="0_\u0663", max_size=3)),
+        st.sampled_from(["", "", ".3", "e2", "_"]),
+        st.sampled_from(["", " ", "\u2003", "\n"]),
+    )
+)
+def test_decimal_like_tokens_parse_as_the_general_path_does(parts):
+    """Signs, leading zeros, whitespace and near-misses of a plain decimal: same value and type, or same error text."""
+    _assert_parses_like_reference("".join(parts))
 
 
 def _fraction_outcome(token):
@@ -173,8 +233,15 @@ def test_format_coordinate_round_trips():
 
 
 def test_point_set_rejects_duplicates():
-    with pytest.raises(ValueError):
-        pts2d((1, 2), (1, 2))
+    # named by the point and its second index
+    half = Fraction(1, 2)
+    for points, message in (
+        ([(1, 2), (1, 2)], "duplicate point (1, 2) at index 1"),
+        ([(1, 2), (3, 4), (1, 2)], "duplicate point (1, 2) at index 2"),
+        ([(half,), (0,), (1,), (half,), (half,)], "duplicate point (Fraction(1, 2),) at index 3"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PointSet.of(points)
 
 
 def test_point_set_rejects_mixed_dimensions():
@@ -279,6 +346,36 @@ def test_neighbor_table_rows_cover_all_other_points():
         assert sorted(table.order[v]) == [u for u in range(pts.n) if u != v]
 
 
+def _tuple_table(pts):
+    return NeighborTable(order=tuple(nearest_profile(pts, pts.n - 1)))
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [pts1d(0, 3, 4), random_point_set(9, dim=2, seed=5), random_point_set(120, dim=2, seed=3), lower_family_1d(300)],
+    ids=["line3", "plane9", "plane120", "lower300"],
+)
+def test_library_table_reads_like_a_tuple_table(pts):
+    table, expected = build_neighbor_table(pts), _tuple_table(pts)
+    assert (table.n, table.width) == (pts.n, pts.n - 1)
+    assert "order" not in table.__dict__  # n and width read the array's shape
+    assert table == expected and hash(table) == hash(expected) and repr(table) == repr(expected)
+    assert table.order == expected.order
+    assert all(type(u) is int for row in table.order for u in row)
+    assert build_neighbor_table(pts) == table  # == builds the other side's order too
+
+
+def test_library_table_raises_what_a_tuple_table_raises():
+    pts, other = random_point_set(9, dim=2, seed=5), random_point_set(8, dim=2, seed=5)
+    for n, k in ((other.n, 2), (pts.n, 0), (pts.n, pts.n), (pts.n, 2.0), (pts.n, True)):
+        messages = []
+        for table in (build_neighbor_table(pts), _tuple_table(pts)):
+            with pytest.raises(ValueError) as raised:
+                table._prefix(n, k)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1], (n, k)
+
+
 def test_general_position_midpoint_violation():
     # point 1's tied neighbors: the smaller index on its left, then on its right
     for pts in (pts1d(0, 1, 2), pts1d(2, 1, 0)):
@@ -301,6 +398,14 @@ def test_build_neighbor_table_raises_on_tie():
         with pytest.raises(GeneralPositionError) as info:
             build_neighbor_table(pts)
         assert info.value.triple == (1, 0, 2), pts
+    # the same error as the full-width profile, on a tie at the last two ranks
+    pts = pts2d((0, 0), (1, 0), (0, 2), (0, 3), (10, 0), (0, 10))
+    with pytest.raises(GeneralPositionError) as expected:
+        nearest_profile(pts, pts.n - 1)
+    with pytest.raises(GeneralPositionError) as info:
+        build_neighbor_table(pts)
+    assert (info.value.triple, str(info.value)) == (expected.value.triple, str(expected.value))
+    assert str(info.value) == "points 4 and 5 are equidistant from point 0"
 
 
 def test_neighbor_order_translation_and_scale_invariant():

@@ -35,9 +35,11 @@ from multipack import (
     multipacking_number,
     save_witness,
 )
+import multipack
 from multipack import multipacking
 from multipack.geometry import nearest_order, nearest_profile
 from multipack.instances import random_point_set
+from multipack.line import lower_family_1d
 
 POWERS = pts1d(2, 4, 8, 16)
 
@@ -107,6 +109,22 @@ def test_checker_rejects_malformed_tables(case, r):
     table, message = malformed_table(pts, case, r)
     with pytest.raises(ValueError, match=f"^{message}$"):
         is_r_multipacking(pts, table, {0, 3}, r)
+
+
+def test_full_radius_check_reads_the_ranked_array(monkeypatch):
+    # a library table is a view of nearest_order's array: no per-point tuples are built
+    def refuse(*args):
+        raise AssertionError("built neighbor tuples")
+
+    monkeypatch.setattr(multipack.geometry, "nearest_profile", refuse)
+    monkeypatch.setattr(multipack.geometry, "_rows", refuse)
+    for pts in (lower_family_1d(300), random_point_set(40, dim=2, seed=4)):
+        r = pts.n - 1
+        table = build_neighbor_table(pts)
+        witness = greedy_max_r_multipacking_1d(pts, r).indices if pts.dim == 1 else (0,)
+        assert is_r_multipacking(pts, table, witness, r) == (True, None)
+        assert is_r_multipacking(pts, table, range(pts.n), r)[0] is False
+        assert "order" not in table.__dict__
 
 
 def _outcome(check, *args):

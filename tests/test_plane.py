@@ -190,6 +190,14 @@ def test_builders_reject_malformed_tables(build, k, case):
         build(_SIX, table)
 
 
+def test_builders_read_a_library_table_as_the_set_ranks():
+    for pts in (pentagon_five(), random_point_set(60, dim=2, seed=3), random_point_set(150, dim=2, seed=3)):
+        table = build_neighbor_table(pts)
+        assert build_conflict_graph(pts, table) == build_conflict_graph(pts)
+        assert build_nearest_neighbor_graph(pts, table) == build_nearest_neighbor_graph(pts)
+        assert "order" not in table.__dict__
+
+
 def test_max_1_multipacking_examples():
     assert max_1_multipacking(QUAD).size == 2
     assert max_1_multipacking(pts2d((0, 0), (9, 2))).size == 1
