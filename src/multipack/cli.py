@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from .geometry import ParseError, _check_radius, load_points, nearest_order, save_points_csv
+from .geometry import ParseError, _check_radius, load_points, nearest_order, save_points
 from .instances import (
     _scan_seed,
     pentagon_five,
@@ -178,7 +178,7 @@ def cmd_gen(args) -> int:
             pts = random_point_set(args.n, dim=args.dim, seed=args.seed, grid=args.grid)
         except RuntimeError as exc:  # retry budget spent without a general-position draw
             raise CliError(EXIT_PARSE, "input", str(exc))
-    save_points_csv(pts, args.out)
+    save_points(pts, args.out)
     _note(f"gen: wrote {pts.n} points (dim {pts.dim}) to {args.out}")
     return EXIT_OK
 
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", default=None, help="radius override, or 'full'")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("gen", help="generate an instance CSV")
+    p = sub.add_parser("gen", help="generate an instance file (JSON for a .json --out, else CSV)")
     p.add_argument("--family", required=True,
                    choices=["lower1d", "upper1d", "pentagon", "square4", "random"])
     p.add_argument("--n", type=int, default=None)

@@ -636,9 +636,9 @@ def load_points_csv(path: str | Path) -> PointSet:
     The whole file is decoded first, so an undecodable byte anywhere wins
     over every other fault.  Rows are then streamed from that text and
     parsed one at a time: the first faulty row, in file order, names the
-    error (a field past `csv.field_size_limit()`, a wrong number of values
-    or a bad coordinate), and faults of the whole set (no points, a
-    duplicate point) come last.
+    error by file and line (a field past `csv.field_size_limit()`, a wrong
+    number of values or a bad coordinate), and faults of the whole set (no
+    points, a duplicate point) come last.
     """
     with open(path, newline="") as fh:
         text = fh.read()
@@ -655,7 +655,10 @@ def load_points_csv(path: str | Path) -> PointSet:
             elif row and (len(row) > 1 or row[0].strip()):  # blank lines are skipped
                 if len(row) != dim:
                     raise ParseError(f"{path}:{reader.line_num}: expected {dim} values, got {len(row)}")
-                pts.append(tuple(map(parse_coordinate, row)))
+                try:
+                    pts.append(tuple(map(parse_coordinate, row)))
+                except ParseError as exc:
+                    raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     except csv.Error as exc:  # e.g. a field past the reader's size limit
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     if dim is None:
@@ -693,7 +696,10 @@ def load_points_json(path: str | Path) -> PointSet:
         for value in entry:
             if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise ParseError(f"{path}: point {i} has non-numeric coordinate {value!r}")
-            coords.append(value if isinstance(value, int) else parse_coordinate(value))
+            try:
+                coords.append(value if isinstance(value, int) else parse_coordinate(value))
+            except ParseError as exc:
+                raise ParseError(f"{path}: point {i}: {exc}") from None
         pts.append(tuple(coords))
     return _parsed_point_set(path, pts, dim)
 
@@ -713,3 +719,11 @@ def load_points(path: str | Path) -> PointSet:
     if str(path).endswith(".json"):
         return load_points_json(path)
     return load_points_csv(path)
+
+
+def save_points(pts: PointSet, path: str | Path) -> None:
+    """Write in the format `load_points` reads back: .json as JSON, anything else as CSV."""
+    if str(path).endswith(".json"):
+        save_points_json(pts, path)
+    else:
+        save_points_csv(pts, path)

@@ -1,12 +1,16 @@
-"""Shared test utilities: independent reference solvers and small builders."""
+"""Shared test utilities: independent reference solvers, instance generators and small builders."""
 
+import functools
 import itertools
+import os
 from heapq import heapify, heappop, heappush
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import multipack
 from multipack import (
     BudgetExceededError,
     NeighborTable,
@@ -26,6 +30,39 @@ def pts1d(*coords) -> PointSet:
 
 def pts2d(*coords) -> PointSet:
     return PointSet.of(list(coords))
+
+
+def child_env() -> dict:
+    """The environment for a child Python, with the package's absolute `src` first on PYTHONPATH:
+    a relative entry (`PYTHONPATH=src`) does not resolve in a child started in another directory."""
+    src = str(Path(multipack.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+@functools.cache
+def sunflower(n: int) -> PointSet:
+    """Point i at radius sqrt(i) and angle 3 sqrt(i), scaled by 10^6, jittered by +-3."""
+    rng = np.random.default_rng(1)
+    i = np.arange(n)
+    rad, ang = np.sqrt(i), 3 * np.sqrt(i)
+    xy = np.rint(np.column_stack((rad * np.cos(ang), rad * np.sin(ang))) * 10**6).astype(np.int64)
+    return PointSet.of((xy + rng.integers(-3, 4, size=(n, 2))).tolist())
+
+
+@functools.cache
+def lattice(width: int) -> PointSet:
+    """A width x width square lattice of spacing 10^6, jittered by +-1000."""
+    rng = np.random.default_rng(1)
+    rows, cols = np.divmod(np.arange(width * width), width)
+    xy = np.column_stack((rows, cols)) * 10**6 + rng.integers(-1000, 1001, size=(width * width, 2))
+    return PointSet.of(xy.tolist())
+
+
+def save_three_decimals(n: int, path) -> None:
+    """Write n random planar points in (-1000, 1000)^2 as a CSV of plain three-decimal
+    coordinates ('-12.345'), the tokens `parse_coordinate` reads without `Fraction`."""
+    xy = np.random.default_rng(1).integers(-10**6, 10**6, size=(n, 2))
+    np.savetxt(path, xy / 1000, fmt="%.3f", delimiter=",", header="x,y", comments="")
 
 
 def reference_prefix(pts, k):

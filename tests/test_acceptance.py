@@ -5,16 +5,13 @@ observed counts; pytest's -rA summary surfaces them in CI logs.  Thresholds
 and instance counts are part of the release contract and must not shrink.
 """
 
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import multipack
-
+from helpers import child_env
 from multipack import (
     bruteforce_max_r_multipacking,
     bruteforce_profile,
@@ -192,13 +189,9 @@ def test_criterion_09_small_extremal_instances():
 
 
 def _run_cli(tmp, *argv) -> bytes:
-    # the child runs in tmp, so a relative PYTHONPATH would not resolve there
-    src = str(Path(multipack.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "multipack.cli", *argv],
-        cwd=tmp, capture_output=True, check=False,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        cwd=tmp, capture_output=True, check=False, env=child_env(),
     )
     assert result.returncode == 0, result.stderr.decode()
     return result.stdout

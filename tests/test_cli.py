@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
@@ -9,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import multipack
+from helpers import child_env
 from multipack import (
     lower_family_1d,
     pentagon_five,
@@ -508,18 +508,19 @@ def test_json_points_that_are_not_a_list_exit_2(tmp_path, capsys, points):
 
 @pytest.mark.parametrize("token", ["1e9999999", "-1e9999999", "1e-9999999", "9e99999999"])
 def test_huge_exponent_exits_2(tmp_path, capsys, token):
-    """An exponent above the int digit limit is a parse error, not a 10^exp computation."""
+    """An exponent above the int digit limit is a parse error naming the file and the row or
+    point, not a 10^exp computation."""
     csv_path, json_path = tmp_path / "big.csv", tmp_path / "big.json"
     csv_path.write_text(f"x,y\n{token},0\n1,2\n")
     json_path.write_text(f'{{"dim": 2, "points": [[{token}, 0], [1, 2]]}}')
     witness = tmp_path / "witness.json"
     witness.write_text('{"indices": [0], "r": 1}')
-    for path in (csv_path, json_path):
+    for path, where in ((csv_path, f"{csv_path}:2"), (json_path, f"{json_path}: point 0")):
         for extra in ((), ("--set", str(witness))):
             command = "check" if extra else "solve"
             code, out, err = run(capsys, command, "--input", str(path), "--r", "1", *extra)
             assert code == 2 and out == ""
-            error = f"bad coordinate {token!r}: exponent above {sys.get_int_max_str_digits()}"
+            error = f"{where}: bad coordinate {token!r}: exponent above {sys.get_int_max_str_digits()}"
             assert json.loads(err) == {"error": error, "kind": "parse"}
 
 
@@ -641,10 +642,8 @@ def _solve_imports_scipy(tmp_path, pts, *args) -> bool:
         f"assert multipack.cli.main({argv!r}) == 0\n"
         "print('scipy' in sys.modules)\n"
     )
-    src = str(Path(multipack.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": pythonpath})
+                          env=child_env())
     return done.stdout == "True\n"
 
 

@@ -1,6 +1,5 @@
 """The demo scripts and the README's library quickstart run against the current API."""
 
-import os
 import re
 import shutil
 import subprocess
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-import multipack
+from helpers import child_env
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -20,13 +19,10 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "script", ["plane_solvers.py", "line_families.py", "degree_audit.py", "pentagon_gallery.py"]
 )
 def test_demo_runs(script, tmp_path):
-    src = str(Path(multipack.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     shutil.copy(DEMOS / script, tmp_path / script)
     result = subprocess.run(
         [sys.executable, str(tmp_path / script)],
-        cwd=tmp_path, capture_output=True, check=False,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        cwd=tmp_path, capture_output=True, check=False, env=child_env(),
     )
     assert result.returncode == 0, result.stderr.decode()
     if script == "pentagon_gallery.py":

@@ -32,6 +32,7 @@ from multipack import (
     max_degree_audit,
     multipacking_number,
     perturb,
+    save_points,
     save_points_csv,
     save_points_json,
     squared_distance,
@@ -837,18 +838,20 @@ def test_perturb_breaks_exact_ties():
     assert assert_general_position(jittered) == []
 
 
+def _round_trips(pts, folder):
+    """Assert that pts comes back from a CSV file, and from the file `save_points` writes for each suffix."""
+    for save, load, name in ((save_points_csv, load_points_csv, "points.csv"),
+                             (save_points, load_points, "points.csv"), (save_points, load_points, "points.json")):
+        save(pts, folder / name)
+        assert load(folder / name).points == pts.points, name
+
+
 def test_csv_round_trip_1d(tmp_path):
-    pts = pts1d(Fraction(-13, 4), 0, Fraction(7, 3))
-    path = tmp_path / "points.csv"
-    save_points_csv(pts, path)
-    assert load_points_csv(path).points == pts.points
+    _round_trips(pts1d(Fraction(-13, 4), 0, Fraction(7, 3)), tmp_path)
 
 
 def test_csv_round_trip_2d(tmp_path):
-    pts = random_point_set(20, dim=2, seed=1)
-    path = tmp_path / "points.csv"
-    save_points_csv(pts, path)
-    assert load_points_csv(path).points == pts.points
+    _round_trips(random_point_set(20, dim=2, seed=1), tmp_path)
 
 
 def test_csv_header_checked(tmp_path):
@@ -872,6 +875,7 @@ def test_csv_skips_blank_rows(tmp_path):
     ("long_field.csv", 'x,y\n1,"FIELD"\n3,4\n', ":2: field larger than field limit"),
     ("cut.json", '{"dim": 1, "points": [[1], [2]', "Expecting"),
     ("long.json", '{"dim": 1, "points": [[LONG], [2]]}', "integer string conversion"),
+    ("bad_coordinate.json", '{"dim": 2, "points": [[1, 2], ["1.2.3", 0]]}', ": point 1: bad coordinate '1.2.3'"),
 ])
 def test_malformed_point_files_name_the_file(tmp_path, name, text, error):
     """Each fault in a point file is a ParseError that names the file; a JSON integer past the
@@ -893,7 +897,7 @@ def test_csv_faults_are_reported_in_file_order(tmp_path):
         (b"x,y\n1,two\n3,4\n\xff\n", UnicodeDecodeError, "can't decode"),
         (f"x,y\n1,2,3\n{long_field},4\n".encode(), ParseError, f"{path}:2: expected 2 values, got 3"),
         (f"x,y\n1,2\n\n{long_field},4\n1,2,3\n".encode(), ParseError, f"{path}:4: field larger"),
-        (b"x,y\n1,2\n3,x\n1,2\n", ParseError, "bad coordinate 'x'"),
+        (b"x,y\n1,2\n3,x\n1,2\n", ParseError, f"{path}:3: bad coordinate 'x'"),
         (b"x,y\n1,2\n3,4\n1,2\n", ParseError, f"{path}: duplicate point (1, 2) at index 2"),
     ]
     for data, error, text in cases:

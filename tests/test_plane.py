@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import random
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     MALFORMED_TABLES,
+    lattice,
     malformed_table,
     naive_max_independent_sets,
     pts2d,
@@ -20,6 +20,7 @@ from helpers import (
     reference_forest_mis,
     reference_local_search,
     reference_min_degree_greedy,
+    sunflower,
 )
 from multipack import (
     BudgetExceededError,
@@ -419,26 +420,7 @@ def test_exact_budget_raises():
         exact_max_is(graph, max_nodes=2)
 
 
-@functools.cache
-def _sunflower(n: int) -> PointSet:
-    """Point i at radius sqrt(i) and angle 3 sqrt(i), scaled by 10^6, jittered by +-3."""
-    rng = np.random.default_rng(1)
-    i = np.arange(n)
-    rad, ang = np.sqrt(i), 3 * np.sqrt(i)
-    xy = np.rint(np.column_stack((rad * np.cos(ang), rad * np.sin(ang))) * 10**6).astype(np.int64)
-    return PointSet.of((xy + rng.integers(-3, 4, size=(n, 2))).tolist())
-
-
-@functools.cache
-def _lattice(width: int) -> PointSet:
-    """A width x width square lattice of spacing 10^6, jittered by +-1000."""
-    rng = np.random.default_rng(1)
-    rows, cols = np.divmod(np.arange(width * width), width)
-    xy = np.column_stack((rows, cols)) * 10**6 + rng.integers(-1000, 1001, size=(width * width, 2))
-    return PointSet.of(xy.tolist())
-
-
-@pytest.mark.parametrize("pts", [_sunflower(200), _sunflower(400), _lattice(12)],
+@pytest.mark.parametrize("pts", [sunflower(200), sunflower(400), lattice(12)],
                          ids=["sunflower200", "sunflower400", "lattice12"])
 def test_exact_matches_reference_on_giant_components(pts):
     graph = build_conflict_graph(pts)
@@ -447,9 +429,9 @@ def test_exact_matches_reference_on_giant_components(pts):
 
 
 @pytest.mark.parametrize("pts, digest, stats", [
-    (_sunflower(1500), "827ea51e15b85ba533986509295754fea181fa75",
+    (sunflower(1500), "827ea51e15b85ba533986509295754fea181fa75",
      {"nodes": 3, "components": 1, "largest_component": 1500, "max_degree": 6}),
-    (_lattice(40), "68961b1acfb90e30d0d757f5d1cde04b47c89444",
+    (lattice(40), "68961b1acfb90e30d0d757f5d1cde04b47c89444",
      {"nodes": 144, "components": 3, "largest_component": 1588, "max_degree": 8}),
 ], ids=["sunflower1500", "lattice40"])
 def test_exact_giant_components_are_pinned(pts, digest, stats):
@@ -462,7 +444,7 @@ def test_exact_giant_components_are_pinned(pts, digest, stats):
 
 
 def test_exact_budget_raises_on_a_giant_component():
-    graph = build_conflict_graph(_lattice(40))
+    graph = build_conflict_graph(lattice(40))
     nodes = exact_max_is(graph)[1]
     with pytest.raises(BudgetExceededError):
         exact_max_is(graph, max_nodes=nodes - 1)
