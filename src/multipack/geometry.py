@@ -267,8 +267,8 @@ def _integer_coords(pts: PointSet) -> tuple[np.ndarray, int]:
 
     Both maps multiply every squared distance by one positive constant, so
     neighbor orderings and ties are unchanged.  Returns the array and its
-    span; the array is int64 when every distance `_exact_sort` ranks by
-    fits (|dx| on a line, dx^2 + dy^2 in the plane), else Python ints (dtype
+    span; the array is int64 when every distance the ranking computes fits
+    (|dx| on a line, dx^2 + dy^2 in the plane), else Python ints (dtype
     object), which run the same numpy code exactly.
     """
     scale = math.lcm(*{c.denominator for p in pts for c in p})
@@ -301,54 +301,46 @@ def _ranking(pts: PointSet) -> _Ranking:
 
 
 def _exact_sort(arr: np.ndarray, rows: np.ndarray, cand: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Sort each row's candidates by exact distance; cand None means every point, in index order.
+    """Sort each planar row's candidates by exact squared distance; cand None means every point, in index order.
 
-    A line ranks by |dx|, which orders and ties exactly as dx^2 does, with
-    a stable sort: tied columns stay in candidate order.  The plane ranks
-    by squared distance with numpy's default sort, then re-sorts each row
-    whose sorted distances hold two equal neighbors by (distance, index):
-    tied columns are in index order, as a stable sort over index-ordered
-    candidates leaves them.  Distances are built one coordinate column at
-    a time.
+    Distances are built one coordinate column at a time and sorted by
+    numpy's default sort; each row whose sorted distances hold two equal
+    neighbors is re-sorted by (distance, index), so tied columns are in
+    index order, as a stable sort over index-ordered candidates leaves them.
+    Lines rank through `_screened_sort`.
     """
-    diffs = [(col if cand is None else col[cand]) - col[rows, None] for col in arr.T]
-    plane = len(diffs) == 2
-    if plane:
-        dist, dy = diffs
-        dist *= dist
-        dy *= dy
-        dist += dy
-        order = np.argsort(dist, axis=1)
-    else:
-        dist = np.abs(diffs[0])
-        order = np.argsort(dist, axis=1, kind="stable")  # a window's two ascending runs merge in linear time
+    dist, dy = [(col if cand is None else col[cand]) - col[rows, None] for col in arr.T]
+    dist *= dist
+    dy *= dy
+    dist += dy
+    order = np.argsort(dist, axis=1)
     flat = (order + np.arange(0, order.size, order.shape[1])[:, None]).ravel()
     dist = dist.ravel()[flat].reshape(order.shape)
     idx = order if cand is None else cand.ravel()[flat].reshape(order.shape)
-    if plane:
-        tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
-        if tied.size:
-            # by (distance, index): each tied row's order among equal distances
-            fix = np.lexsort((idx[tied], dist[tied]))
-            dist[tied] = np.take_along_axis(dist[tied], fix, axis=1)
-            idx[tied] = np.take_along_axis(idx[tied], fix, axis=1)
+    tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
+    if tied.size:
+        # by (distance, index): each tied row's order among equal distances
+        fix = np.lexsort((idx[tied], dist[tied]))
+        dist[tied] = np.take_along_axis(dist[tied], fix, axis=1)
+        idx[tied] = np.take_along_axis(idx[tied], fix, axis=1)
     return dist, idx
 
 
 def _screened_sort(
     x: np.ndarray, flt: np.ndarray, rows: np.ndarray, cand: np.ndarray, split: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_exact_sort` on a line of Python ints, with float64 proposing the order.
+    """Sort each row's candidates on a line by exact |dx|, with float64 proposing the order.
 
-    x holds the exact coordinates, shifted to >= 0, and flt the same shifted
-    right by t = max(0, span bits - 1000) bits in float64 (points closer
-    than 2^t may share a float; integers re-sort their run).  Row i's
-    candidates are the point and its left neighbors going outward (columns
-    0..split[i]), then its right ones.  Returns rank keys in place of
-    `_exact_sort`'s distances and the neighbors in its order.  A key is the
-    column, or on the farther of two tied columns the nearer one's:
-    ascending, and equal exactly on ties (a line has at most two points at
-    one distance from a third).
+    x holds the exact coordinates (int64 or Python ints), shifted to >= 0,
+    and flt the same shifted right by t = max(0, span bits - 1000) bits in
+    float64 (points closer than 2^t may share a float; integers re-sort
+    their run).  Row i's candidates are the point and its left neighbors
+    going outward (columns 0..split[i]), then its right ones.  Returns rank
+    keys in place of distances and the neighbors in ascending distance,
+    tied columns in candidate order.  A key is the column, or on the
+    farther of two tied columns the nearer one's: ascending, and equal
+    exactly on ties (a line has at most two points at one distance from a
+    third).
     """
     width = cand.shape[1]
     here = flt[rows, None]
@@ -379,7 +371,7 @@ def _screened_sort(
     keys = np.broadcast_to(np.arange(width), cand.shape)
     if bad.size:
         # an inversion or a tie: re-sort its maximal close run exactly, by
-        # (distance, candidate column) as `_exact_sort` does
+        # (distance, candidate column)
         linked = np.flatnonzero(close)
         last = np.append(np.flatnonzero(np.diff(linked) != 1), linked.size - 1)  # each run's last link
         run = np.unique(np.searchsorted(last, np.searchsorted(linked, bad)))
@@ -414,23 +406,23 @@ def _ranked_rows(pts: PointSet, keep: int):
 
     Row i of a block belongs to point first + i; its columns are in
     ascending distance, and key ranks them: ascending, equal exactly where
-    distances tie.  It is the distances themselves, or on a screened line
-    (below) integer rank keys.  Column 0 is the point itself (distance 0)
-    and columns 1..width are its width nearest neighbors, with the same
-    width >= keep in every block.  Tied columns are in index order in the
-    plane and in candidate order on a line (`_exact_sort`): callers sort a
-    tied group before they report it.  Inputs differ only in each row's
-    candidates and width (and the guard on k-d tree rows):
+    distances tie.  It is the distances themselves in the plane
+    (`_exact_sort`) and integer rank keys on a line (`_screened_sort`).
+    Column 0 is the point itself (distance 0) and columns 1..width are its
+    width nearest neighbors, with the same width >= keep in every block.
+    Tied columns are in index order in the plane and in candidate order on
+    a line: callers sort a tied group before they report it.  Inputs differ
+    only in each row's candidates and width (and the guard on k-d tree rows):
     - A line always ranks the min(2*keep+1, n) places around the point in
       sorted order, which hold its keep nearest (any point farther along
       has keep points strictly between); width is keep.  The candidates are
       the point, its left neighbors going outward, then its right ones: two
-      ascending runs of |dx|, which the stable sort merges in linear time,
-      so a full-width row costs O(n) comparisons, not a sort.  A line of
-      Python ints (span >= 2^62) is screened at any span: float64 proposes
-      the order from coordinates shifted right to fit 1000 bits, and
-      integers decide the links between the two runs that float cannot
-      prove (`_screened_sort`), such as those among points the shift merges.
+      ascending runs of |dx|, which a stable sort merges in linear time,
+      so a full-width row costs O(n) comparisons, not a sort.  Every line,
+      int64 or Python ints, is screened at any span: float64 proposes the
+      order from coordinates shifted right to fit 1000 bits, and integers
+      decide the links between the two runs that float cannot prove
+      (`_screened_sort`), such as those among points the shift merges.
     - A planar set of at most `_WHOLE_ROWS_MAX_N` points ranks every row
       over all points (cand None) and yields whole rows: width is n - 1,
       whatever keep is, so one ranking serves every later width.
@@ -444,10 +436,9 @@ def _ranked_rows(pts: PointSet, keep: int):
     n = pts.n
     arr, span = _ranking(pts).coords
     everyone = np.arange(n)
-    screened = pts.dim == 1 and arr.dtype == object
-    # rows per block: ~2^20 int64 entries, or ~2^14 on a screened line (~60
-    # bytes of arrays each), or ~2^12 Python ints (each ~100 bytes)
-    budget = 1 << 20 if arr.dtype == np.int64 else 1 << 14 if screened else 1 << 12
+    # rows per block: ~2^14 entries on a line (~60 bytes of arrays each), else
+    # ~2^20 int64 entries or ~2^12 Python ints (each ~100 bytes)
+    budget = 1 << 14 if pts.dim == 1 else 1 << 20 if arr.dtype == np.int64 else 1 << 12
     width, window, nominees = keep, n, None  # window: candidates per row
     if pts.dim == 1:
         window = min(2 * keep + 1, n)
@@ -455,7 +446,7 @@ def _ranked_rows(pts: PointSet, keep: int):
         place = np.empty(n, dtype=np.intp)
         place[by_x] = everyone
         step = np.arange(window)
-        flt = (arr[:, 0] >> max(0, span.bit_length() - 1000)).astype(np.float64) if screened else None
+        flt = (arr[:, 0] >> max(0, span.bit_length() - 1000)).astype(np.float64)
     elif n <= _WHOLE_ROWS_MAX_N:
         width = n - 1
     elif span < 2**53 and keep + 6 < n:
@@ -473,12 +464,9 @@ def _ranked_rows(pts: PointSet, keep: int):
             start = np.clip(at - keep, 0, n - window)
             split = at - start  # the point and its left neighbors: columns 0..split
             cand = by_x[np.where(step <= split, at - step, start + step)]
-        else:
-            cand = None if nominees is None else nominees[rows]
-        if screened:
             key, idx = _screened_sort(arr[:, 0], flt, rows, cand, split)
         else:
-            key, idx = _exact_sort(arr, rows, cand)
+            key, idx = _exact_sort(arr, rows, None if nominees is None else nominees[rows])
         if nominees is not None:
             # Float error (u = 2^-53): coordinates and their differences are exact
             # integers below 2^53, so each cKDTree squared distance is within 3u of
@@ -564,13 +552,12 @@ def nearest_profile(pts: PointSet, k: int) -> list[tuple[int, ...]]:
     k + 5 of them, so one planar ranking for k serves every request up to
     k + 4; a planar ranking over all points keeps k + 1 columns.  A line
     always ranks each point's min(2k+3, n) places around it in sorted
-    order, in time linear in that window, and keeps k + 1 columns; a line
-    of Python ints ranks in float64 shifted to 1000 bits, and integers
-    decide the links float cannot prove, as between points closer than the
-    shift.  A planar row is sorted by
-    numpy's default sort, and only a row with two equal distances is
-    re-sorted by (distance, index), so tied columns sit in index order.
-    Ties are checked per request.
+    order, in time linear in that window, and keeps k + 1 columns; every
+    line ranks in float64 on coordinates shifted to fit 1000 bits, and
+    integers decide the links float cannot prove, as between points closer
+    than the shift.  A planar row is sorted by numpy's default sort, and
+    only a row with two equal distances is re-sorted by (distance, index),
+    so tied columns sit in index order.  Ties are checked per request.
     """
     return _rows(nearest_order(pts, k))
 

@@ -231,8 +231,9 @@ def load_witness(path: str | Path) -> tuple[tuple[int, ...], int | None]:
     """Read a witness file; returns (indices, r or None).
 
     Accepts both the plain witness format and full solver reports, since both
-    carry 'indices' (and usually 'r').  Duplicate indices, and a 'size' other
-    than the number of indices, raise ValueError.
+    carry 'indices' (and usually 'r').  Duplicate indices, a 'size' or 'r'
+    that is not an integer, and a 'size' other than the number of indices
+    raise ValueError.
     """
     with open(path) as fh:
         try:
@@ -242,16 +243,16 @@ def load_witness(path: str | Path) -> tuple[tuple[int, ...], int | None]:
     if not isinstance(data, dict) or "indices" not in data:
         raise ValueError(f"{path}: expected an object with 'indices'")
     indices = data["indices"]
-    if not isinstance(indices, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in indices
-    ):
+    if not isinstance(indices, list) or not all(type(i) is int for i in indices):  # no bool, no float
         raise ValueError(f"{path}: 'indices' must be a list of integers")
     if len(set(indices)) != len(indices):
         raise ValueError(f"{path}: 'indices' repeats an index")
     size = data.get("size", len(indices))
-    if size != len(indices) or isinstance(size, bool):
+    if type(size) is not int:
+        raise ValueError(f"{path}: 'size' must be an integer")
+    if size != len(indices):
         raise ValueError(f"{path}: 'size' is {size!r} but 'indices' holds {len(indices)}")
     r = data.get("r")
-    if r is not None and (not isinstance(r, int) or isinstance(r, bool)):
+    if r is not None and type(r) is not int:
         raise ValueError(f"{path}: 'r' must be an integer")
     return tuple(indices), r

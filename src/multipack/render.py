@@ -34,19 +34,28 @@ def render_svg(
     """Render points (witness members highlighted) to an 800 x 600 SVG document.
 
     With circles=True each point also gets the circle through its second
-    neighbor, the neighborhood whose occupancy caps pair placement.
+    neighbor, the neighborhood whose occupancy caps pair placement.  Drawing
+    is in float64: coordinates, squared circle radii and the drawing's
+    extent beyond float range raise ValueError.
     """
     chosen = set(witness)
     for i in chosen:
         if not 0 <= i < pts.n:
             raise ValueError(f"witness index {i} out of range")
-    coords = [(float(p[0]), float(p[1]) if pts.dim == 2 else 0.0) for p in pts.points]
+    beyond = "cannot draw: {} beyond float range"
+    try:
+        coords = [(float(p[0]), float(p[1]) if pts.dim == 2 else 0.0) for p in pts.points]
+    except OverflowError:
+        raise ValueError(beyond.format("coordinates")) from None
     radii = [0.0] * pts.n
     if circles:
         if pts.n < 3:
             raise ValueError("second-neighbor circles need at least 3 points")
         second = nearest_order(pts, 2)[:, 1].tolist()
-        radii = [math.sqrt(float(squared_distance(pts[v], pts[u]))) for v, u in enumerate(second)]
+        try:
+            radii = [math.sqrt(float(squared_distance(pts[v], pts[u]))) for v, u in enumerate(second)]
+        except OverflowError:
+            raise ValueError(beyond.format("squared second-neighbor distances")) from None
     xs_lo = min(c[0] - r for c, r in zip(coords, radii))
     xs_hi = max(c[0] + r for c, r in zip(coords, radii))
     ys_lo = min(c[1] - r for c, r in zip(coords, radii))
@@ -54,6 +63,8 @@ def render_svg(
     margin = 50.0
     span_x = max(xs_hi - xs_lo, 1e-9)
     span_y = max(ys_hi - ys_lo, 1e-9)
+    if math.isinf(max(span_x, span_y)):
+        raise ValueError(beyond.format("the drawing's extent"))
     scale = min((_WIDTH - 2 * margin) / span_x, (_HEIGHT - 2 * margin) / span_y)
 
     def place(c: Sequence[float]) -> tuple[float, float]:
@@ -112,5 +123,4 @@ def render_to_file(
     witness: Iterable[int] = (),
     circles: bool = False,
 ) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_svg(pts, witness=witness, circles=circles))
+    Path(path).write_text(render_svg(pts, witness=witness, circles=circles))  # a failed render writes no file

@@ -55,6 +55,16 @@ CASES = {
         ("solve --input l3000.csv --r full --out w3000.json", 20, 0),
         ("check --input l3000.csv --set w3000.json", None, 0),
     ]),
+    # coordinates past float64's range solve and check exactly; render exits 2 naming what it cannot draw
+    "render-beyond-float-range": ({}, [
+        ("gen --family lower1d --n 1100 --out l1100.csv", None, 0),
+        ("solve --input l1100.csv --r 2 --out w1100.json", None, 0),
+        ("check --input l1100.csv --set w1100.json", None, 0),
+        ("render --input l1100.csv --set w1100.json --out l1100.svg", None, 2),
+        ("gen --family lower1d --n 600 --out l600.csv", None, 0),
+        ("render --input l600.csv --out l600.svg", None, 0),
+        ("render --input l600.csv --circles --out l600_circles.svg", None, 2),
+    ]),
     # the full general-position audit of 3000 points ranks 9M pairs in row blocks
     "random3000-audited": ({}, [
         ("gen --family random --n 3000 --seed 1 --out r3000.csv", 30, 0),

@@ -608,26 +608,23 @@ def test_tree_ranking_ties_property(points, scale):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    dim=st.sampled_from([1, 2]),
     wide=st.booleans(),
     n=st.integers(1, 40),
     width=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_exact_sort_matches_a_stable_sort_property(dim, wide, n, width, seed):
+def test_exact_sort_matches_a_stable_sort_property(wide, n, width, seed):
     """`_exact_sort` against one stable sort, on int64 and Python-int coordinates of a small grid (so
-    many distances tie): the plane puts tied columns in index order, so it matches that sort over
-    index-sorted candidates; a line keeps them in candidate order, so it matches it over the same ones.
-    cand None ranks every point in index order."""
+    many distances tie): it puts tied columns in index order, so it matches that sort over
+    index-sorted candidates.  cand None ranks every point in index order."""
     rng = np.random.default_rng(seed)
-    arr = rng.integers(0, 8 if dim == 2 else 30, size=(n, dim)).astype(np.int64)
+    arr = rng.integers(0, 8, size=(n, 2)).astype(np.int64)
     if wide:
         arr = arr.astype(object) * 2**62
     rows = rng.permutation(n)[: rng.integers(1, n + 1)]
     width = min(width, n)
     cand = rng.permuted(np.broadcast_to(np.arange(n), (len(rows), n)), axis=1)[:, :width]
-    for given_cand, ordered in ((cand, np.sort(cand, axis=1) if dim == 2 else cand),
-                                (None, np.broadcast_to(np.arange(n), (len(rows), n)))):
+    for given_cand, ordered in ((cand, np.sort(cand, axis=1)), (None, np.broadcast_to(np.arange(n), (len(rows), n)))):
         dist, idx = geometry._exact_sort(arr, rows, given_cand)
         want_dist, want_idx = reference_exact_sort(arr, rows, ordered)
         assert dist.dtype == want_dist.dtype and idx.dtype == want_idx.dtype
@@ -701,14 +698,14 @@ def test_python_int_line_ranking_property(points):
 
 
 def _exact_rows(pts):
-    """Every point's full neighbor order by `_exact_sort` over all points."""
+    """Every point's full neighbor order by one stable sort over all points."""
     arr = geometry._integer_coords(pts)[0]
     everyone = np.arange(pts.n)
-    return geometry._exact_sort(arr, everyone, np.broadcast_to(everyone, (pts.n, pts.n)))[1][:, 1:]
+    return reference_exact_sort(arr, everyone, np.broadcast_to(everyone, (pts.n, pts.n)))[1][:, 1:]
 
 
 def test_screened_line_reorders_what_float_misorders():
-    """On upper_family_1d(299), float64 misorders rows; the screen still ranks as `_exact_sort` does."""
+    """On upper_family_1d(299), float64 misorders rows; the screen still ranks as exact sorting does."""
     family = upper_family_1d(299).points
     shuffled = random.Random(4).sample(family, len(family))
     for points in (shuffled, [(x + 2**400 + 12345,) for (x,) in shuffled]):
@@ -741,12 +738,18 @@ def _lower_rows(n, k):
 
 
 def test_screened_lower_family_ranks_without_exact_sort(monkeypatch):
-    """Full-width rankings of lower_family_1d(300) and (1100) screen every row without falling back to
-    `_exact_sort`; the second spans 2^1100 - 2, past float64's range, and the screen shifts it first."""
+    """Full-width rankings of lower_family_1d(300) and (1100), and an int64 random line at k = 2 and at
+    full width, screen every row without falling back to `_exact_sort`; lower_family_1d(1100) spans
+    2^1100 - 2, past float64's range, and the screen shifts it first."""
+    line = random_point_set(200, dim=1, seed=1).points  # audited: no tie at any width
     calls = _counted(monkeypatch, geometry, "_exact_sort")
     for n in (300, 1100):
         pts = lower_family_1d(n)
         assert nearest_order(pts, pts.n - 1).tolist() == _lower_rows(pts.n, pts.n - 1), n
+    for k in (2, len(line) - 1):
+        pts = PointSet.of(line)
+        assert geometry._integer_coords(pts)[0].dtype == np.int64
+        assert nearest_order(pts, k).tolist() == [list(row) for row in reference_prefix(pts, k)[0]], k
     assert calls == []
 
 

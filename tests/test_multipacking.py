@@ -338,6 +338,16 @@ def test_oracle_profiles_are_pinned():
         assert hashlib.sha1(payload.encode()).hexdigest() == digest, (n, dim, seed)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 14), dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_odd_radius_keeps_the_radius_below_property(n, dim, seed):
+    """For every odd r >= 3 the maximum r-multipacking is the (r-1)-one, size and witness: a closed
+    r-neighborhood adds one point to the (r-1)-one, so its bound of (r+1)/2 follows from (r-1)/2."""
+    profile = bruteforce_profile(random_point_set(n, dim=dim, seed=seed))
+    for r in range(3, n, 2):
+        assert (profile[r - 1].size, profile[r - 1].indices) == (profile[r - 2].size, profile[r - 2].indices), r
+
+
 def test_oracle_matches_naive_enumeration():
     for seed in range(30):
         n = 4 + seed % 5
@@ -418,9 +428,10 @@ def test_witness_json_round_trip(tmp_path):
     ('{"indices": [0], "r": 1.5}', "'r' must be an integer"),
     ('{"indices": [0], "r": "2"}', "'r' must be an integer"),
     ('{"indices": [0], "r": LONG}', "integer string conversion"),
-], ids=["cut", "fraction", "text", "long"])
+    ('{"indices": [0], "size": 1.0}', "'size' must be an integer"),
+], ids=["cut", "fraction", "text", "long", "float-size"])
 def test_load_witness_names_the_file(tmp_path, text, error):
-    """Malformed JSON, a non-integer r and an integer past the int digit limit all name the file."""
+    """Malformed JSON, a non-integer r or size and an integer past the int digit limit all name the file."""
     path = tmp_path / "witness.json"
     path.write_text(text.replace("LONG", "7" * (sys.get_int_max_str_digits() + 1)))
     with pytest.raises(ValueError) as info:

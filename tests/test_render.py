@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from helpers import pts1d
-from multipack import pentagon_five, random_point_set, render_svg, render_to_file
+from multipack import lower_family_1d, pentagon_five, random_point_set, render_svg, render_to_file
 
 
 def test_pentagon_svg_structure():
@@ -51,6 +51,18 @@ def test_render_to_file(tmp_path):
     render_to_file(pentagon_five(), path, witness=(1,))
     assert path.read_text() == render_svg(pentagon_five(), witness=(1,))
 
+
+@pytest.mark.parametrize("pts, circles, cause", [
+    pytest.param(lower_family_1d(1100), False, "coordinates", id="coordinates"),
+    pytest.param(lower_family_1d(600), True, "squared second-neighbor distances", id="circle-radii"),
+    pytest.param(pts1d(-(10**308), 0, 10**308), False, "the drawing's extent", id="extent"),
+])
+def test_beyond_float_range_raises_and_writes_nothing(pts, circles, cause, tmp_path):
+    """Coordinates past 2^1024, squared radii past it, or a span that overflows name the cause."""
+    path = tmp_path / "out.svg"
+    with pytest.raises(ValueError, match=f"cannot draw: {cause} beyond float range"):
+        render_to_file(pts, path, circles=circles)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("draw, digest", [
